@@ -4,7 +4,6 @@ from .laurent import LaurentPoly, parse_poly, quantum_int
 from .spintensor import (
     CrossingKind,
     PolyMatrix,
-    TurnKind,
     crossing_matrix,
     kron,
     mat_mul,
@@ -51,7 +50,7 @@ from .identities import (
 
 __all__ = [
     "LaurentPoly", "parse_poly", "quantum_int",
-    "CrossingKind", "PolyMatrix", "TurnKind", "crossing_matrix", "kron",
+    "CrossingKind", "PolyMatrix", "crossing_matrix", "kron",
     "mat_mul", "spin_set", "turn_tensor",
     "BraidWord", "Diagram", "DiagramError", "Orient", "Tile",
     "braid_to_diagram", "close_braid", "connected_sum", "disjoint_union",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import BraidWord
+from .diagram import LETTER_KIND, BraidWord
 from .spintensor import CrossingKind, PolyMatrix, crossing_matrix, kron
 
 
@@ -48,9 +48,6 @@ class RelationCheck:
     passed: bool
 
 
-_GENS = (("s", CrossingKind.POS), ("S", CrossingKind.NEG), ("t", CrossingKind.SING))
-
-
 def check_monoid_relations(n: int, k: int) -> list[RelationCheck]:
     """Verify every defining relation instance of the monoid on k strands.
 
@@ -72,8 +69,8 @@ def check_monoid_relations(n: int, k: int) -> list[RelationCheck]:
 
     for i in range(1, k):
         for j in range(i + 2, k):
-            for gname, g in _GENS:
-                for hname, h in _GENS:
+            for gname, g in LETTER_KIND.items():
+                for hname, h in LETTER_KIND.items():
                     record("distant-commutation",
                            f"{gname}{i} {hname}{j}", [(g, i), (h, j)],
                            f"{hname}{j} {gname}{i}", [(h, j), (g, i)])

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 computational error (bad diagram, open input),
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from . import braidrep, identities
 from .diagram import (
     DiagramError,
     close_braid,
-    braid_to_diagram,
     from_json,
     parse_braid_word,
     writhe,
@@ -60,13 +60,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run identity suites")
     p_ver.add_argument("--n", type=int, required=True)
-    p_ver.add_argument("--suite", required=True,
-                       choices=["ybe", "unitarity", "singular", "curl", "moy",
-                                "gamma", "monoid", "all"])
+    p_ver.add_argument("--suite", required=True, choices=[*identities.SUITES, "all"])
     p_ver.add_argument("--strands", type=int, default=3,
-                       help="strand count for the monoid suite")
+                       help="strand count for the braid relation checks")
     p_ver.add_argument("--gamma", default="q",
-                       help="gamma for the gamma suite (polynomial string)")
+                       help="alternating-vertex weight for the rigid-vertex checks "
+                            "(polynomial string)")
 
     p_rep = sub.add_parser("rep", help="braid word image in the representation")
     p_rep.add_argument("--n", type=int, required=True)
@@ -105,26 +104,29 @@ def _cmd_matrices(args) -> int:
     return 0
 
 
+def _suite_options(suite, args) -> dict:
+    """The verify options a suite reads: its parameters after n, by name.
+
+    A text-valued option is a polynomial, parsed here, so that it is parsed
+    only when a suite that takes it runs.
+    """
+    options = {}
+    for name in list(inspect.signature(suite).parameters)[1:]:
+        value = getattr(args, name)
+        options[name] = parse_poly(value) if isinstance(value, str) else value
+    return options
+
+
 def _cmd_verify(args) -> int:
+    names = list(identities.SUITES) if args.suite == "all" else [args.suite]
     results = []
-    names = ([args.suite] if args.suite != "all"
-             else ["ybe", "unitarity", "singular", "curl", "moy", "gamma", "monoid"])
     for name in names:
-        if name == "monoid":
-            for check in braidrep.check_monoid_relations(args.n, args.strands):
-                results.append((f"monoid-{check.name}: {check.lhs} = {check.rhs}",
-                                check.passed))
-        elif name == "gamma":
-            gamma = parse_poly(args.gamma)
-            for r in identities.check_gamma_extension(args.n, gamma):
-                results.append((r.name, r.passed))
-        else:
-            for r in identities.SUITES[name](args.n):
-                results.append((r.name, r.passed))
+        suite = identities.SUITES[name]
+        results.extend(suite(args.n, **_suite_options(suite, args)))
     failures = 0
-    for name, passed in results:
-        print(f"{'PASS' if passed else 'FAIL'} {name}")
-        failures += not passed
+    for r in results:
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
+        failures += not r.passed
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 1 if failures else 0
 

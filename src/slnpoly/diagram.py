@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .spintensor import CrossingKind
+from .spintensor import CROSS_TILE, CrossingKind, Tile
 
 
 class Orient(Enum):
@@ -36,47 +36,9 @@ class Orient(Enum):
     UP = "up"
 
 
-class Tile(Enum):
-    ID = "id"
-    CUP_RIGHT = "cup_right"
-    CUP_LEFT = "cup_left"
-    CAP_RIGHT = "cap_right"
-    CAP_LEFT = "cap_left"
-    CROSS_POS = "cross_pos"
-    CROSS_NEG = "cross_neg"
-    CROSS_SING = "cross_sing"
-    VERT_ALT = "vert_alt"
-
-    @property
-    def width_in(self) -> int:
-        return _WIDTHS[self][0]
-
-    @property
-    def width_out(self) -> int:
-        return _WIDTHS[self][1]
-
-
-_WIDTHS = {
-    Tile.ID: (1, 1),
-    Tile.CUP_RIGHT: (0, 2),
-    Tile.CUP_LEFT: (0, 2),
-    Tile.CAP_RIGHT: (2, 0),
-    Tile.CAP_LEFT: (2, 0),
-    Tile.CROSS_POS: (2, 2),
-    Tile.CROSS_NEG: (2, 2),
-    Tile.CROSS_SING: (2, 2),
-    Tile.VERT_ALT: (2, 2),
-}
-
 CUPS = (Tile.CUP_RIGHT, Tile.CUP_LEFT)
 CAPS = (Tile.CAP_RIGHT, Tile.CAP_LEFT)
-CROSSINGS = (Tile.CROSS_POS, Tile.CROSS_NEG, Tile.CROSS_SING)
-
-CROSS_TILE = {
-    CrossingKind.POS: Tile.CROSS_POS,
-    CrossingKind.NEG: Tile.CROSS_NEG,
-    CrossingKind.SING: Tile.CROSS_SING,
-}
+CROSSINGS = tuple(CROSS_TILE.values())
 
 D, U = Orient.DOWN, Orient.UP
 
@@ -136,13 +98,6 @@ class Diagram:
             return self.top_width
         return sum(t.width_out for t in self.slices[-1])
 
-    def bottom_orients(self) -> tuple[Orient, ...]:
-        """Orientations on the bottom boundary (validates along the way)."""
-        level = self.top
-        for s in self.slices:
-            level = _slice_out_orients(s, level)
-        return level
-
     def is_closed(self) -> bool:
         return not self.top and self.bottom_width == 0
 
@@ -150,18 +105,6 @@ class Diagram:
         for i, s in enumerate(self.slices):
             for j, t in enumerate(s):
                 yield i, j, t
-
-
-def _slice_out_orients(tiles: tuple[Tile, ...], ins: tuple[Orient, ...]) -> tuple[Orient, ...]:
-    need = sum(t.width_in for t in tiles)
-    if need != len(ins):
-        raise DiagramError(f"slice consumes {need} strands but {len(ins)} arrive")
-    out: list[Orient] = []
-    pos = 0
-    for t in tiles:
-        out.extend(tile_out_orients(t, ins[pos:pos + t.width_in]))
-        pos += t.width_in
-    return tuple(out)
 
 
 def validate(d: Diagram) -> list[str]:
@@ -224,7 +167,7 @@ class BraidWord:
 
 _TOKEN_RE = re.compile(r"^([sSt])(\d+)$")
 
-_LETTER_KIND = {"s": CrossingKind.POS, "S": CrossingKind.NEG, "t": CrossingKind.SING}
+LETTER_KIND = {"s": CrossingKind.POS, "S": CrossingKind.NEG, "t": CrossingKind.SING}
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
@@ -234,7 +177,7 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         m = _TOKEN_RE.match(token)
         if not m:
             raise ValueError(f"bad braid token {token!r} at position {pos}")
-        kind, i = _LETTER_KIND[m.group(1)], int(m.group(2))
+        kind, i = LETTER_KIND[m.group(1)], int(m.group(2))
         if not 1 <= i < strands:
             raise ValueError(f"token {token!r} at position {pos}: index {i} "
                              f"out of range for {strands} strands")
@@ -279,10 +222,12 @@ def writhe(d: Diagram) -> int:
     return w
 
 
+MIRROR_TILE = {Tile.CROSS_POS: Tile.CROSS_NEG, Tile.CROSS_NEG: Tile.CROSS_POS}
+
+
 def mirror(d: Diagram) -> Diagram:
     """Swap positive and negative classical crossings; an involution."""
-    swap = {Tile.CROSS_POS: Tile.CROSS_NEG, Tile.CROSS_NEG: Tile.CROSS_POS}
-    return Diagram(tuple(tuple(swap.get(t, t) for t in s) for s in d.slices), d.top)
+    return Diagram(tuple(tuple(MIRROR_TILE.get(t, t) for t in s) for s in d.slices), d.top)
 
 
 def disjoint_union(a: Diagram, b: Diagram) -> Diagram:
@@ -345,7 +290,7 @@ def from_json(text: str) -> Diagram:
     try:
         top = tuple(Orient(o) for o in obj.get("top", []))
         slices = tuple(tuple(Tile(name) for name in s) for s in obj["slices"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DiagramError(f"invalid diagram JSON: {exc}") from exc
     d = Diagram(slices, top)
     require_valid(d)

@@ -27,9 +27,9 @@ from functools import lru_cache
 from .diagram import CAPS, CROSSINGS, CUPS, Diagram, DiagramError, Tile, require_valid, writhe
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from .spintensor import (
+    TILE_CROSSING,
     CrossingKind,
     PolyMatrix,
-    TurnKind,
     crossing_matrix,
     spin_set,
     turn_weight,
@@ -51,19 +51,6 @@ class EvalContext:
 class OracleSizeError(ValueError):
     """Raised when a diagram exceeds an oracle's configured size cap."""
 
-
-_TILE_CROSSING = {
-    Tile.CROSS_POS: CrossingKind.POS,
-    Tile.CROSS_NEG: CrossingKind.NEG,
-    Tile.CROSS_SING: CrossingKind.SING,
-}
-
-_TILE_TURN = {
-    Tile.CUP_RIGHT: TurnKind.CUP_RIGHT,
-    Tile.CUP_LEFT: TurnKind.CUP_LEFT,
-    Tile.CAP_LEFT: TurnKind.CAP_LEFT,
-    Tile.CAP_RIGHT: TurnKind.CAP_RIGHT,
-}
 
 # Signed turning contribution of one turn tile to the loop through it;
 # a full counterclockwise circle picks up +2, i.e. rotation number +1.
@@ -105,15 +92,14 @@ def _tile_entries(tile: Tile, ins: tuple[int, ...], ctx: EvalContext):
     if tile is Tile.ID:
         yield ins, ONE
     elif tile in CUPS:
-        kind = _TILE_TURN[tile]
         for a in spin_set(ctx.n):
-            yield (a, a), turn_weight(kind, a)
+            yield (a, a), turn_weight(tile, a)
     elif tile in CAPS:
         a, b = ins
         if a == b:
-            yield (), turn_weight(_TILE_TURN[tile], a)
+            yield (), turn_weight(tile, a)
     elif tile in CROSSINGS:
-        for out, w in _crossing_rows(_TILE_CROSSING[tile], ctx.n).get(ins, ()):
+        for out, w in _crossing_rows(TILE_CROSSING[tile], ctx.n).get(ins, ()):
             yield out, w
     else:
         yield from _vert_alt_entries(ins, ctx)
@@ -223,7 +209,7 @@ def _full_entries(tile: Tile, ctx: EvalContext):
     """All nonzero entries of a tile as (in_spins + out_spins, weight)."""
     n = ctx.n
     if tile in CUPS or tile in CAPS:
-        return [((a, a), turn_weight(_TILE_TURN[tile], a)) for a in spin_set(n)]
+        return [((a, a), turn_weight(tile, a)) for a in spin_set(n)]
     out = []
     for ins in itertools.product(spin_set(n), repeat=2):
         for outs, w in _tile_entries(tile, ins, ctx):

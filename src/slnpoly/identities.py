@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Diagram, Orient, Tile
+from .braidrep import check_monoid_relations
+from .diagram import MIRROR_TILE, Diagram, Orient, Tile
 from .evaluator import EvalContext, evaluate_tangle
 from .laurent import ONE, Q, QINV, LaurentPoly, quantum_int
 from .spintensor import (
+    CROSS_TILE,
     CrossingKind,
     PolyMatrix,
-    TurnKind,
     crossing_matrix,
     kron,
     mat_mul,
@@ -92,10 +93,10 @@ def cross_channel_unitarity_holds(r: PolyMatrix, rbar: PolyMatrix, n: int) -> bo
 def zigzag_weights_cancel(n: int) -> bool:
     """The four cup/cap weight pairings multiply to 1 at every spin."""
     pairs = (
-        (TurnKind.CUP_RIGHT, TurnKind.CAP_RIGHT),
-        (TurnKind.CAP_LEFT, TurnKind.CUP_LEFT),
-        (TurnKind.CUP_LEFT, TurnKind.CAP_LEFT),
-        (TurnKind.CAP_RIGHT, TurnKind.CUP_RIGHT),
+        (Tile.CUP_RIGHT, Tile.CAP_RIGHT),
+        (Tile.CAP_LEFT, Tile.CUP_LEFT),
+        (Tile.CUP_LEFT, Tile.CAP_LEFT),
+        (Tile.CAP_RIGHT, Tile.CUP_RIGHT),
     )
     return all(
         turn_weight(u, s) * turn_weight(v, s) == ONE
@@ -109,12 +110,6 @@ def zigzag_weights_cancel(n: int) -> bool:
 _I = Tile.ID
 _D, _U = Orient.DOWN, Orient.UP
 
-_KIND_TILE = {
-    CrossingKind.POS: Tile.CROSS_POS,
-    CrossingKind.NEG: Tile.CROSS_NEG,
-    CrossingKind.SING: Tile.CROSS_SING,
-}
-
 
 def sideways_gadget(kind: CrossingKind) -> list[list[Tile]]:
     """Crossing of a (down, up) strand pair, realized with one cup and one cap.
@@ -125,7 +120,7 @@ def sideways_gadget(kind: CrossingKind) -> list[list[Tile]]:
     """
     return [
         [Tile.CUP_LEFT, _I, _I],
-        [_I, _KIND_TILE[kind], _I],
+        [_I, CROSS_TILE[kind], _I],
         [_I, _I, Tile.CAP_LEFT],
     ]
 
@@ -134,7 +129,7 @@ def sideways_gadget_mirror(kind: CrossingKind) -> list[list[Tile]]:
     """Mirror partner of sideways_gadget: (up, down) on top to (down, up) below."""
     return [
         [_I, _I, Tile.CUP_RIGHT],
-        [_I, _KIND_TILE[kind], _I],
+        [_I, CROSS_TILE[kind], _I],
         [Tile.CAP_RIGHT, _I, _I],
     ]
 
@@ -144,10 +139,9 @@ def _pad(slices: list[list[Tile]], left: int, right: int) -> list[list[Tile]]:
 
 
 _REFLECT_TILE = {
+    **MIRROR_TILE,
     Tile.CUP_RIGHT: Tile.CUP_LEFT, Tile.CUP_LEFT: Tile.CUP_RIGHT,
     Tile.CAP_LEFT: Tile.CAP_RIGHT, Tile.CAP_RIGHT: Tile.CAP_LEFT,
-    Tile.CROSS_POS: Tile.CROSS_NEG, Tile.CROSS_NEG: Tile.CROSS_POS,
-    Tile.CROSS_SING: Tile.CROSS_SING, Tile.ID: Tile.ID,
 }
 
 
@@ -156,7 +150,7 @@ def reflect_diagram(d: Diagram) -> Diagram:
     if any(t is Tile.VERT_ALT for _, _, t in d.tiles()):
         raise ValueError("reflection of the alternating vertex is not representable")
     return Diagram(
-        tuple(tuple(_REFLECT_TILE[t] for t in reversed(s)) for s in d.slices),
+        tuple(tuple(_REFLECT_TILE.get(t, t) for t in reversed(s)) for s in d.slices),
         tuple(reversed(d.top)),
     )
 
@@ -187,7 +181,7 @@ def curled_vertex(kind: CrossingKind) -> Diagram:
         [_I, Tile.CUP_RIGHT, _I],
         [Tile.CROSS_SING, _I, _I],
         [_I, Tile.CUP_LEFT, _I, _I, _I],
-        [_I, _I, _KIND_TILE[kind], _I, _I],
+        [_I, _I, CROSS_TILE[kind], _I, _I],
         [_I, _I, _I, Tile.CAP_LEFT, _I],
         [_I, _I, Tile.CAP_LEFT],
     ], (_D, _U))
@@ -440,10 +434,20 @@ def check_gamma_extension(n: int, gamma: LaurentPoly) -> list[CheckResult]:
     return out
 
 
+def check_monoid(n: int, strands: int) -> list[CheckResult]:
+    """The defining relations of the singular braid monoid on `strands` strands."""
+    return [CheckResult(f"monoid-{c.name}: {c.lhs} = {c.rhs}", c.passed)
+            for c in check_monoid_relations(n, strands)]
+
+
+# Every verify suite, in the order `verify --suite all` runs them.  Each takes
+# n first; further parameters name the verify options it reads.
 SUITES = {
     "ybe": check_ybe,
     "unitarity": check_unitarity,
     "singular": check_singular_relations,
     "curl": check_curl_vertex,
     "moy": check_moy,
+    "gamma": check_gamma_extension,
+    "monoid": check_monoid,
 }

@@ -11,6 +11,10 @@ tuples the same way).
 
 Turn tensors (cups and caps) are stored as diagonal n x n weight matrices;
 the pairing delta and the wiring live in the diagram evaluator.
+
+The diagram tiles are named here too, with the one table from crossing
+kinds to crossing tiles and the one table of turn signs, so that every
+module reads the same vocabulary.
 """
 
 from __future__ import annotations
@@ -28,11 +32,46 @@ class CrossingKind(Enum):
     SING = "sing"
 
 
-class TurnKind(Enum):
+class Tile(Enum):
+    """The pieces of a sliced diagram; `diagram` states their conventions."""
+
+    ID = "id"
     CUP_RIGHT = "cup_right"
     CUP_LEFT = "cup_left"
     CAP_RIGHT = "cap_right"
     CAP_LEFT = "cap_left"
+    CROSS_POS = "cross_pos"
+    CROSS_NEG = "cross_neg"
+    CROSS_SING = "cross_sing"
+    VERT_ALT = "vert_alt"
+
+    @property
+    def width_in(self) -> int:
+        return _WIDTHS[self][0]
+
+    @property
+    def width_out(self) -> int:
+        return _WIDTHS[self][1]
+
+
+_WIDTHS = {
+    Tile.ID: (1, 1),
+    Tile.CUP_RIGHT: (0, 2),
+    Tile.CUP_LEFT: (0, 2),
+    Tile.CAP_RIGHT: (2, 0),
+    Tile.CAP_LEFT: (2, 0),
+    Tile.CROSS_POS: (2, 2),
+    Tile.CROSS_NEG: (2, 2),
+    Tile.CROSS_SING: (2, 2),
+    Tile.VERT_ALT: (2, 2),
+}
+
+CROSS_TILE = {
+    CrossingKind.POS: Tile.CROSS_POS,
+    CrossingKind.NEG: Tile.CROSS_NEG,
+    CrossingKind.SING: Tile.CROSS_SING,
+}
+TILE_CROSSING = {tile: kind for kind, tile in CROSS_TILE.items()}
 
 
 def spin_set(n: int) -> tuple[int, ...]:
@@ -65,10 +104,6 @@ class PolyMatrix:
     @classmethod
     def identity(cls, size: int) -> "PolyMatrix":
         return cls(size, size, {(i, i): ONE for i in range(size)})
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "PolyMatrix":
-        return cls(rows, cols)
 
     def __getitem__(self, key: tuple[int, int]) -> LaurentPoly:
         r, c = key
@@ -199,20 +234,20 @@ def crossing_matrix(kind: CrossingKind, n: int) -> PolyMatrix:
 
 # Sign of the half exponent in the diagonal turn weight q^(+-a/2).
 _TURN_SIGN = {
-    TurnKind.CUP_RIGHT: 1,
-    TurnKind.CUP_LEFT: -1,
-    TurnKind.CAP_LEFT: 1,
-    TurnKind.CAP_RIGHT: -1,
+    Tile.CUP_RIGHT: 1,
+    Tile.CUP_LEFT: -1,
+    Tile.CAP_LEFT: 1,
+    Tile.CAP_RIGHT: -1,
 }
 
 
-def turn_weight(kind: TurnKind, spin: int) -> LaurentPoly:
-    """The weight q^(+-spin/2) carried by one cup or cap at a given spin."""
-    return LaurentPoly.half_power(_TURN_SIGN[kind] * spin)
+def turn_weight(tile: Tile, spin: int) -> LaurentPoly:
+    """The weight q^(+-spin/2) carried by one cup or cap tile at a given spin."""
+    return LaurentPoly.half_power(_TURN_SIGN[tile] * spin)
 
 
 @lru_cache(maxsize=None)
-def turn_tensor(kind: TurnKind, n: int) -> PolyMatrix:
-    """Diagonal n x n matrix of cup/cap weights over the spin set."""
+def turn_tensor(tile: Tile, n: int) -> PolyMatrix:
+    """Diagonal n x n matrix of a cup or cap tile's weights over the spin set."""
     spins = spin_set(n)
-    return PolyMatrix(n, n, {(i, i): turn_weight(kind, s) for i, s in enumerate(spins)})
+    return PolyMatrix(n, n, {(i, i): turn_weight(tile, s) for i, s in enumerate(spins)})

@@ -8,28 +8,15 @@ from slnpoly.diagram import BraidWord, Diagram, Tile, close_braid
 from slnpoly.evaluator import EvalContext
 from slnpoly.laurent import LaurentPoly
 from slnpoly.spintensor import (
+    TILE_CROSSING,
     CrossingKind,
     PolyMatrix,
-    TurnKind,
     crossing_matrix,
     kron,
     mat_mul,
     spin_set,
     turn_weight,
 )
-
-_TURN_OF = {
-    Tile.CUP_RIGHT: TurnKind.CUP_RIGHT,
-    Tile.CUP_LEFT: TurnKind.CUP_LEFT,
-    Tile.CAP_LEFT: TurnKind.CAP_LEFT,
-    Tile.CAP_RIGHT: TurnKind.CAP_RIGHT,
-}
-
-_CROSS_OF = {
-    Tile.CROSS_POS: CrossingKind.POS,
-    Tile.CROSS_NEG: CrossingKind.NEG,
-    Tile.CROSS_SING: CrossingKind.SING,
-}
 
 
 def tile_matrix(tile: Tile, ctx: EvalContext) -> PolyMatrix:
@@ -40,16 +27,16 @@ def tile_matrix(tile: Tile, ctx: EvalContext) -> PolyMatrix:
         return PolyMatrix.identity(n)
     if tile in (Tile.CUP_RIGHT, Tile.CUP_LEFT):
         return PolyMatrix(1, n * n, {
-            (0, i * n + i): turn_weight(_TURN_OF[tile], s)
+            (0, i * n + i): turn_weight(tile, s)
             for i, s in enumerate(spins)
         })
     if tile in (Tile.CAP_LEFT, Tile.CAP_RIGHT):
         return PolyMatrix(n * n, 1, {
-            (i * n + i, 0): turn_weight(_TURN_OF[tile], s)
+            (i * n + i, 0): turn_weight(tile, s)
             for i, s in enumerate(spins)
         })
-    if tile in _CROSS_OF:
-        return crossing_matrix(_CROSS_OF[tile], n)
+    if tile in TILE_CROSSING:
+        return crossing_matrix(TILE_CROSSING[tile], n)
     # alternating vertex: gamma * (antiparallel identity + turnback pair)
     entries: dict[tuple[int, int], LaurentPoly] = {}
     for i, a in enumerate(spins):

@@ -1,9 +1,16 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from slnpoly.cli import run_cli
+import slnpoly
+from slnpoly.cli import _build_parser, run_cli
 from slnpoly.diagram import close_braid, parse_braid_word, to_json
+from slnpoly.identities import SUITES
 from slnpoly.laurent import parse_poly
 
 
@@ -84,6 +91,27 @@ def test_verify_all_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 40
+    assert "PASS monoid-R2: s1 S1 = 1" in out.splitlines()
+
+
+def test_verify_suite_choices_follow_registry():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert suite.choices == [*SUITES, "all"]
+
+
+def test_verify_all_runs_suites_in_registry_order(capsys):
+    base = ("verify", "--n", "2", "--strands", "3")
+    want = []
+    for name in SUITES:
+        code, out, _ = run(capsys, *base, "--suite", name)
+        assert code == 0
+        want += out.splitlines()[:-1]
+    code, out, _ = run(capsys, *base, "--suite", "all")
+    assert code == 0
+    assert all(line.startswith("PASS ") for line in want)
+    assert out.splitlines() == want + [f"{len(want)}/{len(want)} checks passed"]
 
 
 def test_verify_single_suite(capsys):
@@ -104,3 +132,16 @@ def test_usage_error_exit_code(capsys):
     assert run_cli(["eval", "--n", "2"]) == 2
     assert run_cli(["nonsense"]) == 2
     assert run_cli([]) == 2
+
+
+def test_mistyped_diagram_file_is_an_error_not_a_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(slnpoly.__file__).parents[1]))
+    for text in ('{"slices": 5}', '{"slices": [null]}', '{"slices": [], "top": 3}'):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "slnpoly", "eval", "--n", "2", "--diagram", str(path)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, text
+        assert proc.stderr.startswith("error:"), text
+        assert "Traceback" not in proc.stderr, text

@@ -155,6 +155,9 @@ def test_json_rejects_invalid():
         from_json('{"top": [], "slices": [["no_such_tile"]]}')
     with pytest.raises(DiagramError):
         from_json('{"top": ["down"], "slices": [["cap_left"]]}')
+    for text in ('{"slices": 5}', '{"slices": [null]}', '{"slices": [], "top": 3}'):
+        with pytest.raises(DiagramError):
+            from_json(text)
 
 
 def test_braid_word_validation():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -27,7 +28,8 @@ from slnpoly.evaluator import (
     oracle_rotation_states,
 )
 from slnpoly.laurent import LaurentPoly, ONE, Q, QINV, quantum_int
-from slnpoly.spintensor import CrossingKind, PolyMatrix, crossing_matrix
+from slnpoly.braidrep import rho
+from slnpoly.spintensor import CrossingKind, PolyMatrix, crossing_matrix, spin_set
 
 D, U = Orient.DOWN, Orient.UP
 I = Tile.ID
@@ -242,3 +244,15 @@ def test_tangle_tensor_indexing():
     for n in (2, 3):
         d = braid_to_diagram(parse_braid_word("s1", 2))
         assert evaluate_tangle(d, EvalContext(n)) == crossing_matrix(CrossingKind.POS, n)
+
+
+@pytest.mark.parametrize("n,k,length", [(2, 4, 14), (3, 3, 12), (3, 4, 11), (4, 3, 12), (2, 5, 12)])
+def test_closure_is_weighted_trace_beyond_oracle_caps(n, k, length):
+    """Closure value = Tr(rho(w) h^(x k)) with h = diag(q^s), Turaev's
+    enhanced Yang-Baxter trace; free of the oracles' size caps."""
+    w = random_word(random.Random(f"trace {n} {k} {length}"), k, length)
+    mat = rho(w, n).matrix
+    want = LaurentPoly.zero()
+    for i, spins in enumerate(itertools.product(spin_set(n), repeat=k)):
+        want = want + LaurentPoly.q_power(sum(spins)) * mat[i, i]
+    assert evaluate_closed(close_braid(w), EvalContext(n)) == want

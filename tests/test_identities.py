@@ -62,13 +62,13 @@ def test_unitarity_negative_control():
 
 
 def test_zigzag_negative_control():
-    # flipping the weight sign on one turn kind breaks the wiggle cancellation
+    # flipping the weight sign on one turn tile breaks the wiggle cancellation
     from slnpoly.laurent import LaurentPoly
-    from slnpoly.spintensor import TurnKind, spin_set, turn_weight
+    from slnpoly.spintensor import spin_set, turn_weight
 
     def flipped_cancel(n):
         return all(
-            LaurentPoly.half_power(-s) * turn_weight(TurnKind.CAP_RIGHT, s) == ONE
+            LaurentPoly.half_power(-s) * turn_weight(Tile.CAP_RIGHT, s) == ONE
             for s in spin_set(n)
         )
 

@@ -1,10 +1,10 @@
 import pytest
 
+from slnpoly.diagram import Tile
 from slnpoly.laurent import ONE, Q, QINV, ZERO, parse_poly
 from slnpoly.spintensor import (
     CrossingKind,
     PolyMatrix,
-    TurnKind,
     crossing_matrix,
     kron,
     mat_mul,
@@ -126,12 +126,12 @@ def test_conservation_law(n):
 
 def test_turn_weights():
     # over spins (-1, 1): cup_right is (q^-1/2, q^1/2), cup_left the inverse
-    assert turn_weight(TurnKind.CUP_RIGHT, -1) == parse_poly("q^(-1/2)")
-    assert turn_weight(TurnKind.CUP_RIGHT, 1) == parse_poly("q^(1/2)")
-    assert turn_weight(TurnKind.CUP_LEFT, -1) == parse_poly("q^(1/2)")
-    assert turn_weight(TurnKind.CUP_LEFT, 1) == parse_poly("q^(-1/2)")
-    assert turn_weight(TurnKind.CAP_LEFT, 1) == parse_poly("q^(1/2)")
-    assert turn_weight(TurnKind.CAP_RIGHT, 1) == parse_poly("q^(-1/2)")
+    assert turn_weight(Tile.CUP_RIGHT, -1) == parse_poly("q^(-1/2)")
+    assert turn_weight(Tile.CUP_RIGHT, 1) == parse_poly("q^(1/2)")
+    assert turn_weight(Tile.CUP_LEFT, -1) == parse_poly("q^(1/2)")
+    assert turn_weight(Tile.CUP_LEFT, 1) == parse_poly("q^(-1/2)")
+    assert turn_weight(Tile.CAP_LEFT, 1) == parse_poly("q^(1/2)")
+    assert turn_weight(Tile.CAP_RIGHT, 1) == parse_poly("q^(-1/2)")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -141,14 +141,14 @@ def test_loop_weight_sums_to_quantum_n(n):
     ccw = ZERO
     cw = ZERO
     for s in spin_set(n):
-        ccw = ccw + turn_weight(TurnKind.CUP_RIGHT, s) * turn_weight(TurnKind.CAP_LEFT, s)
-        cw = cw + turn_weight(TurnKind.CUP_LEFT, s) * turn_weight(TurnKind.CAP_RIGHT, s)
+        ccw = ccw + turn_weight(Tile.CUP_RIGHT, s) * turn_weight(Tile.CAP_LEFT, s)
+        cw = cw + turn_weight(Tile.CUP_LEFT, s) * turn_weight(Tile.CAP_RIGHT, s)
     assert ccw == quantum_int(n)
     assert cw == quantum_int(n)
 
 
 def test_turn_tensor_diagonal():
-    t = turn_tensor(TurnKind.CUP_RIGHT, 3)
+    t = turn_tensor(Tile.CUP_RIGHT, 3)
     assert t.rows == t.cols == 3
     assert all(r == c for (r, c), _ in t.items())
 
@@ -188,4 +188,4 @@ def test_builders_reject_small_n():
     with pytest.raises(ValueError):
         crossing_matrix(CrossingKind.POS, 1)
     with pytest.raises(ValueError):
-        turn_tensor(TurnKind.CUP_RIGHT, 1)
+        turn_tensor(Tile.CUP_RIGHT, 1)
