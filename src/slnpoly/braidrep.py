@@ -16,6 +16,10 @@ from .diagram import LETTER_KIND, BraidWord
 from .spintensor import CrossingKind, PolyMatrix, crossing_matrix, kron
 
 
+# The largest n^k for which rho builds its n^k x n^k matrices.
+MAX_REP_SIZE = 4096
+
+
 @dataclass(frozen=True)
 class RepImage:
     strands: int
@@ -34,6 +38,9 @@ def rho(w: BraidWord, n: int) -> RepImage:
     """Evaluate a singular braid word in the representation; empty word -> identity."""
     if n < 2:
         raise ValueError(f"the representation needs n >= 2, got {n}")
+    if n ** w.strands > MAX_REP_SIZE:
+        raise ValueError(f"the representation at n={n} on k={w.strands} strands "
+                         f"exceeds the limit n^k <= {MAX_REP_SIZE}")
     mat = PolyMatrix.identity(n ** w.strands)
     for kind, i in w.letters:
         mat = mat @ _generator_image(kind, i, w.strands, n)

@@ -2,9 +2,11 @@
 
 The main entry point, evaluate_tangle, sweeps a validated diagram top to
 bottom keeping a sparse map from spin tuples on the current level to
-polynomial amplitudes.  Tiles contribute:
+polynomial amplitudes.  It contracts one tile at a time, right to left
+within a slice so that the positions of the tiles still to come stay valid,
+and rewrites only the legs that tile touches; an id tile carries the
+identity delta and is skipped.  The other tiles contribute:
 
-  id         the identity delta,
   cups/caps  the diagonal weights q^(+-a/2) together with the spin pairing,
   crossings  the entries of the R / Rbar / Q tensors,
   vert_alt   gamma * (antiparallel identity) + gamma * (turnback pair),
@@ -31,6 +33,7 @@ from .spintensor import (
     CrossingKind,
     PolyMatrix,
     crossing_matrix,
+    flat_index,
     spin_set,
     turn_weight,
 )
@@ -88,10 +91,8 @@ def _vert_alt_entries(ins: tuple[int, int], ctx: EvalContext):
 
 
 def _tile_entries(tile: Tile, ins: tuple[int, ...], ctx: EvalContext):
-    """Yield (out_spins, weight) for the nonzero entries of a tile row."""
-    if tile is Tile.ID:
-        yield ins, ONE
-    elif tile in CUPS:
+    """Yield (out_spins, weight) for the nonzero entries of a non-id tile row."""
+    if tile in CUPS:
         for a in spin_set(ctx.n):
             yield (a, a), turn_weight(tile, a)
     elif tile in CAPS:
@@ -105,56 +106,39 @@ def _tile_entries(tile: Tile, ins: tuple[int, ...], ctx: EvalContext):
         yield from _vert_alt_entries(ins, ctx)
 
 
-def _tuple_index(spins: tuple[int, ...], n: int) -> int:
-    """Flatten a spin tuple to a row/column index, leftmost strand most significant."""
-    pos = {s: i for i, s in enumerate(spin_set(n))}
-    idx = 0
-    for s in spins:
-        idx = idx * n + pos[s]
-    return idx
-
-
 def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
     """The boundary tensor of an open tangle, rows = top spins, cols = bottom.
 
-    Spin tuples are flattened lexicographically with spins ascending, the
-    same convention as the braid representation, so an all-down braid
-    diagram evaluates to exactly its representation matrix.
+    Spin tuples are flattened by flat_index, the same convention as the
+    braid representation, so an all-down braid diagram evaluates to exactly
+    its representation matrix.
     """
     require_valid(d)
     n = ctx.n
-    top_w = d.top_width
     # Frontier keyed by (top assignment, current level assignment).
     frontier: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {
-        (t, t): ONE for t in itertools.product(spin_set(n), repeat=top_w)
+        (t, t): ONE for t in itertools.product(spin_set(n), repeat=d.top_width)
     }
     for tiles in d.slices:
-        new: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
-        for (top, cur), amp in frontier.items():
-            partial = [((), cur, amp)]
-            for tile in tiles:
-                grown = []
-                for out, rest, a in partial:
-                    w_in = tile.width_in
-                    ins, remaining = rest[:w_in], rest[w_in:]
-                    for outs, w in _tile_entries(tile, ins, ctx):
-                        grown.append((out + outs, remaining, a * w))
-                partial = grown
-            for out, rest, a in partial:
-                key = (top, out)
-                acc = new.get(key, ZERO) + a
-                if acc:
-                    new[key] = acc
-                elif key in new:
-                    del new[key]
-        frontier = new
-    bot_w = d.bottom_width
-    entries = {
-        (_tuple_index(top, n), _tuple_index(bot, n)): amp
-        for (top, bot), amp in frontier.items()
-        if amp
-    }
-    return PolyMatrix(n ** top_w, n ** bot_w, entries)
+        pos = sum(t.width_in for t in tiles)
+        for tile in reversed(tiles):
+            pos -= tile.width_in
+            if tile is Tile.ID:
+                continue
+            end = pos + tile.width_in
+            new: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
+            for (top, cur), amp in frontier.items():
+                for outs, w in _tile_entries(tile, cur[pos:end], ctx):
+                    key = (top, cur[:pos] + outs + cur[end:])
+                    acc = new.get(key, ZERO) + amp * w
+                    if acc:
+                        new[key] = acc
+                    elif key in new:
+                        del new[key]
+            frontier = new
+    entries = {(flat_index(top, n), flat_index(bot, n)): amp
+               for (top, bot), amp in frontier.items()}
+    return PolyMatrix(n ** d.top_width, n ** d.bottom_width, entries)
 
 
 def evaluate_closed(d: Diagram, ctx: EvalContext) -> LaurentPoly:

@@ -27,6 +27,7 @@ from .spintensor import (
     CrossingKind,
     PolyMatrix,
     crossing_matrix,
+    flat_index,
     kron,
     mat_mul,
     spin_set,
@@ -70,10 +71,9 @@ def cross_channel_unitarity_holds(r: PolyMatrix, rbar: PolyMatrix, n: int) -> bo
     is not a delta.
     """
     spins = spin_set(n)
-    pos = {s: k for k, s in enumerate(spins)}
 
     def entry(m: PolyMatrix, top: tuple[int, int], bot: tuple[int, int]) -> LaurentPoly:
-        return m[pos[top[0]] * n + pos[top[1]], pos[bot[0]] * n + pos[bot[1]]]
+        return m[flat_index(top, n), flat_index(bot, n)]
 
     for a in spins:
         for b in spins:

@@ -6,8 +6,7 @@ over LaurentPoly; the row index is the pair (a, b) of spins on the two top
 legs and the column index the pair (c, d) on the bottom legs.  Pairs are
 ordered lexicographically with spins ascending, which is the ordering that
 reproduces the published small matrices entry for entry, and is fixed
-project-wide (the representation and the tangle evaluator flatten spin
-tuples the same way).
+project-wide: flat_index is the one flattening of a spin tuple to an index.
 
 Turn tensors (cups and caps) are stored as diagonal n x n weight matrices;
 the pairing delta and the wiring live in the diagram evaluator.
@@ -79,6 +78,14 @@ def spin_set(n: int) -> tuple[int, ...]:
     if n < 2:
         raise ValueError(f"spin sets need n >= 2, got {n}")
     return tuple(range(1 - n, n, 2))
+
+
+def flat_index(spins: Iterable[int], n: int) -> int:
+    """Flatten a spin tuple to a row/column index, leftmost strand most significant."""
+    idx = 0
+    for s in spins:
+        idx = idx * n + (s + n - 1) // 2
+    return idx
 
 
 class PolyMatrix:
@@ -204,12 +211,11 @@ def crossing_matrix(kind: CrossingKind, n: int) -> PolyMatrix:
     and zero everywhere else.
     """
     spins = spin_set(n)
-    idx = {s: i for i, s in enumerate(spins)}
     qmqi = Q - QINV
     entries: dict[tuple[int, int], LaurentPoly] = {}
 
     def put(a: int, b: int, c: int, d: int, value: LaurentPoly) -> None:
-        entries[(idx[a] * n + idx[b], idx[c] * n + idx[d])] = value
+        entries[(flat_index((a, b), n), flat_index((c, d), n))] = value
 
     for a in spins:
         for b in spins:

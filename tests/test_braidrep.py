@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_word
-from slnpoly.braidrep import check_monoid_relations, rho
+from slnpoly.braidrep import MAX_REP_SIZE, check_monoid_relations, rho
 from slnpoly.diagram import BraidWord, braid_to_diagram, parse_braid_word
 from slnpoly.evaluator import EvalContext, evaluate_tangle
 from slnpoly.laurent import Q
@@ -98,3 +98,13 @@ def test_rejects_bad_args():
         check_monoid_relations(1, 2)
     with pytest.raises(ValueError):
         check_monoid_relations(2, 1)
+
+
+def test_rho_budget_refuses_before_allocating():
+    # 10^9 rows would exhaust memory; the budget names n, k and the limit
+    with pytest.raises(ValueError, match=f"n=10 on k=9 .*{MAX_REP_SIZE}"):
+        rho(parse_braid_word("s1", 9), 10)
+    with pytest.raises(ValueError, match=f"n=10 on k=9 .*{MAX_REP_SIZE}"):
+        check_monoid_relations(10, 9)
+    assert 4 ** 6 == MAX_REP_SIZE
+    assert rho(BraidWord(6), 4).matrix == PolyMatrix.identity(MAX_REP_SIZE)

@@ -145,3 +145,15 @@ def test_mistyped_diagram_file_is_an_error_not_a_traceback(tmp_path):
         assert proc.returncode == 1, text
         assert proc.stderr.startswith("error:"), text
         assert "Traceback" not in proc.stderr, text
+
+
+def test_rep_over_budget_is_an_error_not_a_traceback():
+    env = dict(os.environ, PYTHONPATH=str(Path(slnpoly.__file__).parents[1]))
+    for argv in (["rep", "--n", "10", "--braid", "s1", "--strands", "9"],
+                 ["verify", "--n", "10", "--suite", "monoid", "--strands", "9"]):
+        proc = subprocess.run([sys.executable, "-m", "slnpoly", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith("error:"), argv
+        assert "n^k <= 4096" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr, argv

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import corpus_diagrams, random_word, transfer_eval
 from slnpoly.diagram import (
+    CUPS,
     BraidWord,
     Diagram,
     DiagramError,
@@ -16,6 +18,7 @@ from slnpoly.diagram import (
     disjoint_union,
     mirror,
     parse_braid_word,
+    tile_out_orients,
     writhe,
 )
 from slnpoly.evaluator import (
@@ -256,3 +259,76 @@ def test_closure_is_weighted_trace_beyond_oracle_caps(n, k, length):
     for i, spins in enumerate(itertools.product(spin_set(n), repeat=k)):
         want = want + LaurentPoly.q_power(sum(spins)) * mat[i, i]
     assert evaluate_closed(close_braid(w), EvalContext(n)) == want
+
+
+# Tiles that fit on the adjacent in-strand pair with these orientations.
+_PAIR_TILES = {
+    (D, D): (Tile.CROSS_POS, Tile.CROSS_NEG, Tile.CROSS_SING),
+    (D, U): (Tile.CAP_LEFT, Tile.VERT_ALT),
+    (U, D): (Tile.CAP_RIGHT,),
+}
+
+
+@st.composite
+def sliced_diagrams(draw, max_width=4, max_slices=6):
+    """A valid sliced diagram built level by level, with its bottom orientations.
+
+    Each slice reads the level left to right: at every position it may put a
+    cup, and it consumes the next strand with an id or the next pair with a
+    tile whose orientations match, so one slice mixes tiles of different
+    widths.  No level is wider than max_width.
+    """
+    level = tuple(draw(st.one_of(
+        st.just(()), st.lists(st.sampled_from((D, U)), min_size=1, max_size=max_width))))
+    top, slices = level, []
+    for _ in range(draw(st.integers(1, max_slices))):
+        tiles, out, i = [], [], 0
+        while True:
+            pair = level[i:i + 2]
+            choices = [I] if i < len(level) else ["end"]
+            choices += _PAIR_TILES.get(pair, ())
+            if len(out) + len(level) - i + 2 <= max_width:
+                choices += CUPS
+            tile = draw(st.sampled_from(choices))
+            if tile == "end":
+                break
+            tiles.append(tile)
+            out += tile_out_orients(tile, level[i:i + tile.width_in])
+            i += tile.width_in
+        if tiles:
+            slices.append(tiles)
+            level = tuple(out)
+    return Diagram(slices, top), level
+
+
+def _cap_off(d: Diagram, level) -> Diagram:
+    """Close a diagram with empty top by capping the leftmost unlike pair, slice by slice."""
+    slices = list(d.slices)
+    while level:
+        i = next(j for j in range(len(level) - 1) if level[j] != level[j + 1])
+        cap = Tile.CAP_LEFT if level[i] is D else Tile.CAP_RIGHT
+        slices.append([I] * i + [cap] + [I] * (len(level) - i - 2))
+        level = level[:i] + level[i + 2:]
+    return Diagram(slices)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(drawn=sliced_diagrams(), n=st.sampled_from((2, 3)),
+       gamma=st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=2)
+       .map(LaurentPoly))
+def test_sweep_matches_transfer_on_random_diagrams(drawn, n, gamma):
+    """Random valid diagrams, open and closed, with mixed orientations: the
+    frontier sweep, transfer_eval and the edge oracle agree exactly."""
+    d, level = drawn
+    ctx = EvalContext(n, gamma)
+    assert evaluate_tangle(d, ctx) == transfer_eval(d, ctx)
+    if d.top:
+        return
+    closed = _cap_off(d, level)
+    value = evaluate_closed(closed, ctx)
+    assert transfer_eval(closed, ctx) == PolyMatrix(1, 1, {(0, 0): value})
+    try:
+        oracle = oracle_edge_enumeration(closed, ctx)
+    except OracleSizeError:
+        return
+    assert oracle == value
