@@ -8,7 +8,6 @@ from .spintensor import (
     kron,
     mat_mul,
     spin_set,
-    turn_tensor,
 )
 from .diagram import (
     BraidWord,
@@ -51,7 +50,7 @@ from .identities import (
 __all__ = [
     "LaurentPoly", "parse_poly", "quantum_int",
     "CrossingKind", "PolyMatrix", "crossing_matrix", "kron",
-    "mat_mul", "spin_set", "turn_tensor",
+    "mat_mul", "spin_set",
     "BraidWord", "Diagram", "DiagramError", "Orient", "Tile",
     "braid_to_diagram", "close_braid", "connected_sum", "disjoint_union",
     "from_json", "mirror", "parse_braid_word", "to_json", "validate", "writhe",

@@ -119,16 +119,16 @@ def _suite_options(suite, args) -> dict:
 
 def _cmd_verify(args) -> int:
     names = list(identities.SUITES) if args.suite == "all" else [args.suite]
-    results = []
+    passed = total = 0
     for name in names:
         suite = identities.SUITES[name]
-        results.extend(suite(args.n, **_suite_options(suite, args)))
-    failures = 0
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
-        failures += not r.passed
-    print(f"{len(results) - failures}/{len(results)} checks passed")
-    return 1 if failures else 0
+        for r in suite(args.n, **_suite_options(suite, args)):
+            print(f"{'PASS' if r.passed else 'FAIL'} {r.name}")
+            passed += r.passed
+            total += 1
+        sys.stdout.flush()
+    print(f"{passed}/{total} checks passed")
+    return 0 if passed == total else 1
 
 
 def _cmd_rep(args) -> int:

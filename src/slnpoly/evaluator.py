@@ -5,7 +5,10 @@ bottom keeping a sparse map from spin tuples on the current level to
 polynomial amplitudes.  It contracts one tile at a time, right to left
 within a slice so that the positions of the tiles still to come stay valid,
 and rewrites only the legs that tile touches; an id tile carries the
-identity delta and is skipped.  The other tiles contribute:
+identity delta and is skipped.  Every other tile is read from one row
+table, built once per (tile, context) and shared by the sweep and the
+edge-enumeration oracle; it maps in-spins to the nonzero (out-spins,
+weight) entries:
 
   cups/caps  the diagonal weights q^(+-a/2) together with the spin pairing,
   crossings  the entries of the R / Rbar / Q tensors,
@@ -30,7 +33,6 @@ from .diagram import CAPS, CROSSINGS, CUPS, Diagram, DiagramError, Tile, require
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from .spintensor import (
     TILE_CROSSING,
-    CrossingKind,
     PolyMatrix,
     crossing_matrix,
     flat_index,
@@ -65,45 +67,30 @@ TURN_ROT = {
 }
 
 
-@lru_cache(maxsize=None)
-def _crossing_rows(kind: CrossingKind, n: int) -> dict:
-    """Nonzero crossing entries indexed by the top spin pair."""
+@lru_cache
+def _tile_rows(tile: Tile, ctx: EvalContext) -> dict:
+    """The nonzero entries of a non-id tile: in-spins -> ((out_spins, weight), ...)."""
+    n = ctx.n
     spins = spin_set(n)
-    mat = crossing_matrix(kind, n)
-    rows: dict[tuple[int, int], list[tuple[tuple[int, int], LaurentPoly]]] = {}
-    for (r, c), p in mat.items():
-        a, b = spins[r // n], spins[r % n]
-        cd = (spins[c // n], spins[c % n])
-        rows.setdefault((a, b), []).append((cd, p))
-    return rows
-
-
-def _vert_alt_entries(ins: tuple[int, int], ctx: EvalContext):
-    a, b = ins
-    if a != b:
-        yield (a, b), ctx.gamma
-        return
-    for c in spin_set(ctx.n):
-        w = ctx.gamma * LaurentPoly.half_power(a + c)
-        if c == a:
-            w = w + ctx.gamma
-        yield (c, c), w
-
-
-def _tile_entries(tile: Tile, ins: tuple[int, ...], ctx: EvalContext):
-    """Yield (out_spins, weight) for the nonzero entries of a non-id tile row."""
+    rows: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentPoly]]] = {}
     if tile in CUPS:
-        for a in spin_set(ctx.n):
-            yield (a, a), turn_weight(tile, a)
+        rows[()] = [((a, a), turn_weight(tile, a)) for a in spins]
     elif tile in CAPS:
-        a, b = ins
-        if a == b:
-            yield (), turn_weight(tile, a)
+        for a in spins:
+            rows[(a, a)] = [((), turn_weight(tile, a))]
     elif tile in CROSSINGS:
-        for out, w in _crossing_rows(TILE_CROSSING[tile], ctx.n).get(ins, ()):
-            yield out, w
+        for (r, c), w in crossing_matrix(TILE_CROSSING[tile], n).items():
+            rows.setdefault((spins[r // n], spins[r % n]), []).append(
+                ((spins[c // n], spins[c % n]), w))
     else:
-        yield from _vert_alt_entries(ins, ctx)
+        g = ctx.gamma
+        for a, b in itertools.product(spins, repeat=2):
+            if a != b:
+                rows[(a, b)] = [((a, b), g)]
+            else:
+                rows[(a, a)] = [((c, c), g * LaurentPoly.half_power(a + c) + g * (c == a))
+                                for c in spins]
+    return {ins: tuple(row) for ins, row in rows.items()}
 
 
 def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
@@ -126,9 +113,10 @@ def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
             if tile is Tile.ID:
                 continue
             end = pos + tile.width_in
+            rows = _tile_rows(tile, ctx)
             new: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
             for (top, cur), amp in frontier.items():
-                for outs, w in _tile_entries(tile, cur[pos:end], ctx):
+                for outs, w in rows.get(cur[pos:end], ()):
                     key = (top, cur[:pos] + outs + cur[end:])
                     acc = new.get(key, ZERO) + amp * w
                     if acc:
@@ -191,14 +179,7 @@ class _UnionFind:
 
 def _full_entries(tile: Tile, ctx: EvalContext):
     """All nonzero entries of a tile as (in_spins + out_spins, weight)."""
-    n = ctx.n
-    if tile in CUPS or tile in CAPS:
-        return [((a, a), turn_weight(tile, a)) for a in spin_set(n)]
-    out = []
-    for ins in itertools.product(spin_set(n), repeat=2):
-        for outs, w in _tile_entries(tile, ins, ctx):
-            out.append((ins + outs, w))
-    return out
+    return [(ins + outs, w) for ins, row in _tile_rows(tile, ctx).items() for outs, w in row]
 
 
 def oracle_edge_enumeration(d: Diagram, ctx: EvalContext, edge_cap: int = 16) -> LaurentPoly:

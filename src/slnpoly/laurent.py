@@ -14,6 +14,7 @@ polynomials.  Values are immutable once constructed and safe to share.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterator, Mapping
@@ -25,13 +26,9 @@ class LaurentPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        clean = {}
-        if coeffs:
-            for exp, c in coeffs.items():
-                if c:
-                    clean[int(exp)] = clean.get(int(exp), 0) + c
-            clean = {e: c for e, c in clean.items() if c}
-        object.__setattr__(self, "_coeffs", clean)
+        """Drop zero coefficients; a non-integral exponent raises TypeError."""
+        object.__setattr__(self, "_coeffs", {
+            operator.index(e): c for e, c in (coeffs or {}).items() if c})
 
     # -- constructors ------------------------------------------------------
 

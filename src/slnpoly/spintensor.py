@@ -8,8 +8,8 @@ ordered lexicographically with spins ascending, which is the ordering that
 reproduces the published small matrices entry for entry, and is fixed
 project-wide: flat_index is the one flattening of a spin tuple to an index.
 
-Turn tensors (cups and caps) are stored as diagonal n x n weight matrices;
-the pairing delta and the wiring live in the diagram evaluator.
+Turn tiles (cups and caps) carry only a weight per spin, turn_weight; the
+pairing delta and the wiring live in the diagram evaluator.
 
 The diagram tiles are named here too, with the one table from crossing
 kinds to crossing tiles and the one table of turn signs, so that every
@@ -251,9 +251,3 @@ def turn_weight(tile: Tile, spin: int) -> LaurentPoly:
     """The weight q^(+-spin/2) carried by one cup or cap tile at a given spin."""
     return LaurentPoly.half_power(_TURN_SIGN[tile] * spin)
 
-
-@lru_cache(maxsize=None)
-def turn_tensor(tile: Tile, n: int) -> PolyMatrix:
-    """Diagonal n x n matrix of a cup or cap tile's weights over the spin set."""
-    spins = spin_set(n)
-    return PolyMatrix(n, n, {(i, i): turn_weight(tile, s) for i, s in enumerate(spins)})

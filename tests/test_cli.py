@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import slnpoly
+from slnpoly import identities
 from slnpoly.cli import _build_parser, run_cli
 from slnpoly.diagram import close_braid, parse_braid_word, to_json
-from slnpoly.identities import SUITES
+from slnpoly.identities import SUITES, CheckResult
 from slnpoly.laurent import parse_poly
 
 
@@ -112,6 +113,20 @@ def test_verify_all_runs_suites_in_registry_order(capsys):
     assert code == 0
     assert all(line.startswith("PASS ") for line in want)
     assert out.splitlines() == want + [f"{len(want)}/{len(want)} checks passed"]
+
+
+def test_verify_prints_finished_suites_before_a_later_one_raises(monkeypatch, capsys):
+    def ok(n):
+        return [CheckResult(f"ok-n{n}", True)]
+
+    def over_budget(n):
+        raise ValueError("over budget")
+
+    monkeypatch.setattr(identities, "SUITES", {"ok": ok, "over": over_budget})
+    code, out, err = run(capsys, "verify", "--n", "2", "--suite", "all")
+    assert code == 1
+    assert out.splitlines() == ["PASS ok-n2"]
+    assert err == "error: over budget\n"
 
 
 def test_verify_single_suite(capsys):

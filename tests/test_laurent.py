@@ -32,6 +32,15 @@ def test_canonical_no_zero_coeffs():
     assert not p
 
 
+def test_constructor_drops_zeros_and_rejects_non_integral_exponents():
+    assert LaurentPoly({2: 0, -1: 3, 0: 0}).coeffs == {-1: 3}
+    assert LaurentPoly({2: 0}) == ZERO
+    with pytest.raises(TypeError):
+        LaurentPoly({1.5: 1})
+    with pytest.raises(TypeError):
+        LaurentPoly({2.0: 1})
+
+
 def test_invert_q():
     p = LaurentPoly({4: 1, 0: 3})
     assert p.invert_q() == LaurentPoly({-4: 1, 0: 3})

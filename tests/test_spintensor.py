@@ -9,7 +9,6 @@ from slnpoly.spintensor import (
     kron,
     mat_mul,
     spin_set,
-    turn_tensor,
     turn_weight,
 )
 
@@ -147,12 +146,6 @@ def test_loop_weight_sums_to_quantum_n(n):
     assert cw == quantum_int(n)
 
 
-def test_turn_tensor_diagonal():
-    t = turn_tensor(Tile.CUP_RIGHT, 3)
-    assert t.rows == t.cols == 3
-    assert all(r == c for (r, c), _ in t.items())
-
-
 def test_kron():
     eye2 = PolyMatrix.identity(2)
     assert kron(R2, PolyMatrix.identity(1)) == R2
@@ -187,5 +180,3 @@ def test_matrix_index_errors():
 def test_builders_reject_small_n():
     with pytest.raises(ValueError):
         crossing_matrix(CrossingKind.POS, 1)
-    with pytest.raises(ValueError):
-        turn_tensor(Tile.CUP_RIGHT, 1)
