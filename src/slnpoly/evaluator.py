@@ -53,6 +53,10 @@ class EvalContext:
             raise ValueError(f"evaluation needs n >= 2, got {self.n}")
 
 
+# The largest frontier the sweep keeps; an entry costs about 1 KB.
+MAX_FRONTIER = 500_000
+
+
 class OracleSizeError(ValueError):
     """Raised when a diagram exceeds an oracle's configured size cap."""
 
@@ -98,7 +102,8 @@ def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
 
     Spin tuples are flattened by flat_index, the same convention as the
     braid representation, so an all-down braid diagram evaluates to exactly
-    its representation matrix.
+    its representation matrix.  A frontier over MAX_FRONTIER entries raises
+    ValueError.
     """
     require_valid(d)
     n = ctx.n
@@ -106,7 +111,7 @@ def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
     frontier: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {
         (t, t): ONE for t in itertools.product(spin_set(n), repeat=d.top_width)
     }
-    for tiles in d.slices:
+    for i, tiles in enumerate(d.slices):
         pos = sum(t.width_in for t in tiles)
         for tile in reversed(tiles):
             pos -= tile.width_in
@@ -123,6 +128,10 @@ def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
                         new[key] = acc
                     elif key in new:
                         del new[key]
+            if len(new) > MAX_FRONTIER:
+                raise ValueError(f"slice {i}, tile {tile.value} at position {pos}: "
+                                 f"the frontier reached {len(new)} entries, "
+                                 f"over the limit of {MAX_FRONTIER}")
             frontier = new
     entries = {(flat_index(top, n), flat_index(bot, n)): amp
                for (top, bot), amp in frontier.items()}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class LaurentPoly:
@@ -53,6 +53,18 @@ class LaurentPoly:
     def half_power(cls, e: int, coeff: int = 1) -> "LaurentPoly":
         """coeff * q^(e/2) where e counts half-exponent units."""
         return cls({e: coeff})
+
+    @classmethod
+    def sum_of_products(
+            cls, pairs: Iterable[tuple["LaurentPoly", "LaurentPoly"]]) -> "LaurentPoly":
+        """The sum of a * b over the (a, b) pairs, accumulated in one coefficient dict."""
+        out: dict[int, int] = {}
+        for a, b in pairs:
+            for e1, c1 in a._coeffs.items():
+                for e2, c2 in b._coeffs.items():
+                    e = e1 + e2
+                    out[e] = out.get(e, 0) + c1 * c2
+        return cls(out)
 
     # -- inspection --------------------------------------------------------
 

@@ -8,6 +8,10 @@ ordered lexicographically with spins ascending, which is the ordering that
 reproduces the published small matrices entry for entry, and is fixed
 project-wide: flat_index is the one flattening of a spin tuple to an index.
 
+PolyMatrix is a sparse matrix of LaurentPoly entries.  mat_mul accumulates
+each entry of a product in one coefficient dict, through
+LaurentPoly.sum_of_products, with no polynomial built per term or partial sum.
+
 Turn tiles (cups and caps) carry only a weight per spin, turn_weight; the
 pairing delta and the wiring live in the diagram evaluator.
 
@@ -104,6 +108,8 @@ class PolyMatrix:
             for (r, c), p in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
+                if not isinstance(p, LaurentPoly):
+                    raise TypeError(f"entry ({r}, {c}) is not a LaurentPoly: {p!r}")
                 if p:
                     clean[(r, c)] = p
         self._entries = clean
@@ -168,18 +174,23 @@ class PolyMatrix:
 
 
 def mat_mul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """Sparse matrix product over LaurentPoly."""
+    """Sparse matrix product over LaurentPoly.
+
+    Each entry's (a[r, k], b[k, c]) pairs are collected first, and the entry
+    is accumulated in one coefficient dict by LaurentPoly.sum_of_products;
+    entries that cancel to zero are dropped.
+    """
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
     cols_of: dict[int, list[tuple[int, LaurentPoly]]] = {}
     for (r, c), p in b.items():
         cols_of.setdefault(r, []).append((c, p))
-    out: dict[tuple[int, int], LaurentPoly] = {}
+    terms: dict[tuple[int, int], list[tuple[LaurentPoly, LaurentPoly]]] = {}
     for (r, k), p in a.items():
         for c, p2 in cols_of.get(k, ()):
-            key = (r, c)
-            out[key] = out.get(key, ZERO) + p * p2
-    return PolyMatrix(a.rows, b.cols, out)
+            terms.setdefault((r, c), []).append((p, p2))
+    return PolyMatrix(a.rows, b.cols, {key: LaurentPoly.sum_of_products(pairs)
+                                       for key, pairs in terms.items()})
 
 
 def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

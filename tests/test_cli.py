@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import slnpoly
-from slnpoly import identities
+from slnpoly import evaluator, identities
 from slnpoly.cli import _build_parser, run_cli
 from slnpoly.diagram import close_braid, parse_braid_word, to_json
 from slnpoly.identities import SUITES, CheckResult
@@ -78,6 +78,17 @@ def test_eval_gamma_roundtrip(tmp_path, capsys):
     # gamma * ([2] + [2]^2) with gamma = [2]
     want = parse_poly("q + q^-1") * (parse_poly("q + q^-1") + parse_poly("q^-2 + 2 + q^2"))
     assert parse_poly(out.strip()) == want
+
+
+def test_eval_over_frontier_budget_is_an_error_not_a_traceback(monkeypatch, capsys):
+    monkeypatch.setattr(evaluator, "MAX_FRONTIER", 3)
+    code, out, err = run(capsys, "eval", "--n", "2", "--braid", "s1 s1 s1",
+                         "--strands", "2", "--closure")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: slice 1, tile cup_right")
+    assert "over the limit of 3" in err
+    assert "Traceback" not in err
 
 
 def test_matrices_output(capsys):

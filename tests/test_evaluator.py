@@ -21,6 +21,7 @@ from slnpoly.diagram import (
     tile_out_orients,
     writhe,
 )
+from slnpoly import evaluator
 from slnpoly.evaluator import (
     EvalContext,
     OracleSizeError,
@@ -114,6 +115,22 @@ def test_frontier_matches_transfer_matrices(n):
     ]
     for d in fixtures:
         assert evaluate_tangle(d, ctx) == transfer_eval(d, ctx)
+
+
+def test_frontier_budget_names_slice_tile_and_count(monkeypatch):
+    # the frontier of the trefoil closure at n=2 peaks at 6 entries
+    d = close_braid(parse_braid_word("s1 s1 s1", 2))
+    want = evaluate_closed(d, EvalContext(2))
+    monkeypatch.setattr(evaluator, "MAX_FRONTIER", 6)
+    assert evaluate_closed(d, EvalContext(2)) == want
+    monkeypatch.setattr(evaluator, "MAX_FRONTIER", 5)
+    with pytest.raises(ValueError, match=r"^slice 3, tile cross_pos at position 0: "
+                       r"the frontier reached 6 entries, over the limit of 5$"):
+        evaluate_closed(d, EvalContext(2))
+    monkeypatch.setattr(evaluator, "MAX_FRONTIER", 3)
+    with pytest.raises(ValueError, match=r"^slice 1, tile cup_right at position 1: "
+                       r"the frontier reached 4 entries"):
+        evaluate_tangle(d, EvalContext(2))
 
 
 def test_oracles_on_corpus_small():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slnpoly.laurent import LaurentPoly, ONE, Q, QINV, ZERO, parse_poly, quantum_int
 
@@ -66,6 +66,21 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@settings(derandomize=True, max_examples=50)
+@given(st.lists(st.tuples(polys, polys), max_size=5))
+def test_sum_of_products_is_the_sum_of_the_products(pairs):
+    total = ZERO
+    for a, b in pairs:
+        total = total + a * b
+    assert LaurentPoly.sum_of_products(pairs) == total
+    assert LaurentPoly.sum_of_products(iter(pairs)) == total
+
+
+def test_sum_of_products_of_nothing_is_zero():
+    assert LaurentPoly.sum_of_products([]) == ZERO
+    assert LaurentPoly.sum_of_products([(Q, QINV), (ONE, -ONE)]).coeffs == {}
 
 
 def test_eval_at():

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_laurent import polys
 from slnpoly.diagram import Tile
-from slnpoly.laurent import ONE, Q, QINV, ZERO, parse_poly
+from slnpoly.laurent import ONE, Q, QINV, ZERO, LaurentPoly, parse_poly
 from slnpoly.spintensor import (
     CrossingKind,
     PolyMatrix,
@@ -163,6 +165,41 @@ def test_mat_mul():
         mat_mul(R2, PolyMatrix.identity(3))
 
 
+@st.composite
+def sparse_matrices(draw, rows, cols):
+    keys = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    return PolyMatrix(rows, cols, draw(st.dictionaries(keys, polys, max_size=rows * cols)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_mat_mul_matches_dense_triple_loop(data):
+    rows, inner, cols = (data.draw(st.integers(1, 5)) for _ in range(3))
+    a = data.draw(sparse_matrices(rows, inner))
+    b = data.draw(sparse_matrices(inner, cols))
+    dense = {}
+    for r in range(rows):
+        for c in range(cols):
+            acc = ZERO
+            for k in range(inner):
+                acc = acc + a[r, k] * b[k, c]
+            dense[(r, c)] = acc
+    product = mat_mul(a, b)
+    assert (product.rows, product.cols) == (rows, cols)
+    assert all(product[key] == p for key, p in dense.items())
+    assert dict(product.items()) == {key: p for key, p in dense.items() if p}
+
+
+def test_mat_mul_drops_an_entry_that_cancels():
+    p = Q + LaurentPoly.half_power(-3, 4)
+    row = PolyMatrix(1, 2, {(0, 0): p, (0, 1): p})
+    col = PolyMatrix(2, 1, {(0, 0): ONE, (1, 0): -ONE})
+    product = mat_mul(row, col)
+    assert len(product) == 0
+    assert dict(product.items()) == {}
+    assert product[0, 0] == ZERO
+
+
 def test_matrix_add_scale():
     eye = PolyMatrix.identity(4)
     assert Q2 - R2 == eye.scale(QINV)
@@ -175,6 +212,13 @@ def test_matrix_index_errors():
         R2[4, 0]
     with pytest.raises(IndexError):
         PolyMatrix(2, 2, {(2, 0): ONE})
+
+
+def test_matrix_rejects_entries_that_are_not_polynomials():
+    with pytest.raises(TypeError, match=r"entry \(0, 1\) is not a LaurentPoly: 1$"):
+        PolyMatrix(2, 2, {(0, 0): ONE, (0, 1): 1})
+    with pytest.raises(TypeError, match=r"entry \(1, 1\) is not a LaurentPoly: 'q'"):
+        PolyMatrix(2, 2, {(1, 1): "q"})
 
 
 def test_builders_reject_small_n():
