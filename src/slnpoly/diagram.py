@@ -2,19 +2,13 @@
 
 A diagram is a top-to-bottom stack of slices; a slice is a left-to-right row
 of tiles.  Strands crossing a horizontal level carry an orientation, DOWN
-(with the sweep) or UP (against it).  Tile conventions:
-
-  id          1 in / 1 out, either orientation, passed through unchanged.
-  cup_right   0 in / 2 out, creates a strand pair oriented (DOWN, UP).
-  cup_left    0 in / 2 out, creates (UP, DOWN).
-  cap_left    2 in / 0 out, consumes (DOWN, UP).
-  cap_right   2 in / 0 out, consumes (UP, DOWN).
-  cross_pos/cross_neg/cross_sing
-              2 in / 2 out, both strands DOWN on both sides.  Crossings of
-              strands in any other position are expressed by composing with
-              cups and caps.
-  vert_alt    2 in / 2 out alternating-oriented rigid vertex: (DOWN, UP) on
-              top and (DOWN, UP) below.
+(with the sweep) or UP (against it).  Each non-id tile needs fixed
+orientations on its in-legs and makes fixed ones on its out-legs, as
+spintensor.SIGNATURE states them; an id tile passes one strand of either
+orientation through.  Cups create a strand pair and caps consume one;
+crossings join two downward strands, and crossings of strands in any other
+position are expressed by composing with cups and caps; vert_alt is the
+alternating-oriented rigid vertex, (DOWN, UP) on both sides.
 
 Cups and caps come in two flavours because the two traversal directions
 carry different weights q^(+-a/2); a counterclockwise circle is the stack
@@ -26,25 +20,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 
-from .spintensor import CROSS_TILE, CrossingKind, Tile
-
-
-class Orient(Enum):
-    DOWN = "down"
-    UP = "up"
-
+from .spintensor import CROSS_TILE, SIGNATURE, CrossingKind, Orient, Tile
 
 CUPS = (Tile.CUP_RIGHT, Tile.CUP_LEFT)
 CAPS = (Tile.CAP_RIGHT, Tile.CAP_LEFT)
 CROSSINGS = tuple(CROSS_TILE.values())
-
-D, U = Orient.DOWN, Orient.UP
-
-# Fixed orientation signatures: in-orients required, out-orients produced.
-_CUP_OUT = {Tile.CUP_RIGHT: (D, U), Tile.CUP_LEFT: (U, D)}
-_CAP_IN = {Tile.CAP_LEFT: (D, U), Tile.CAP_RIGHT: (U, D)}
 
 
 class DiagramError(ValueError):
@@ -57,24 +38,12 @@ def tile_out_orients(tile: Tile, ins: tuple[Orient, ...]) -> tuple[Orient, ...]:
         raise DiagramError(f"{tile.value} expects {tile.width_in} strands, got {len(ins)}")
     if tile is Tile.ID:
         return ins
-    if tile in CUPS:
-        return _CUP_OUT[tile]
-    if tile in CAPS:
-        if ins != _CAP_IN[tile]:
-            raise DiagramError(f"{tile.value} requires orientations "
-                               f"{tuple(o.value for o in _CAP_IN[tile])}, got "
-                               f"{tuple(o.value for o in ins)}")
-        return ()
-    if tile in CROSSINGS:
-        if ins != (D, D):
-            raise DiagramError(f"{tile.value} requires both strands oriented down, got "
-                               f"{tuple(o.value for o in ins)}")
-        return (D, D)
-    # alternating vertex
-    if ins != (D, U):
-        raise DiagramError(f"vert_alt requires orientations (down, up), got "
-                           f"{tuple(o.value for o in ins)}")
-    return (D, U)
+    need, out = SIGNATURE[tile]
+    if ins != need:
+        raise DiagramError(f"{tile.value} needs its strands oriented "
+                           f"{', '.join(o.value for o in need)}; got "
+                           f"{', '.join(o.value for o in ins)}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -191,24 +160,21 @@ def braid_to_diagram(w: BraidWord) -> Diagram:
     slices = []
     for kind, i in w.letters:
         slices.append([Tile.ID] * (i - 1) + [CROSS_TILE[kind]] + [Tile.ID] * (k - i - 1))
-    return Diagram(slices, (D,) * k)
+    return Diagram(slices, (Orient.DOWN,) * k)
 
 
 def close_braid(w: BraidWord) -> Diagram:
     """Trace closure of a braid: nested cups, the body, nested caps.
 
-    The k return strands run upward to the right of the body; the closure of
-    the empty 1-strand word is the counterclockwise circle.
+    The k return strands run upward to the right of the body, so each body
+    slice is the braid's slice padded with k id tiles; the closure of the
+    empty 1-strand word is the counterclockwise circle.
     """
     k = w.strands
-    slices: list[list[Tile]] = []
-    for j in range(k):
-        slices.append([Tile.ID] * j + [Tile.CUP_RIGHT] + [Tile.ID] * j)
-    for kind, i in w.letters:
-        slices.append([Tile.ID] * (i - 1) + [CROSS_TILE[kind]] + [Tile.ID] * (2 * k - i - 1))
-    for j in range(k - 1, -1, -1):
-        slices.append([Tile.ID] * j + [Tile.CAP_LEFT] + [Tile.ID] * j)
-    return Diagram(slices)
+    cups = [(Tile.ID,) * j + (Tile.CUP_RIGHT,) + (Tile.ID,) * j for j in range(k)]
+    body = [s + (Tile.ID,) * k for s in braid_to_diagram(w).slices]
+    caps = [(Tile.ID,) * j + (Tile.CAP_LEFT,) + (Tile.ID,) * j for j in reversed(range(k))]
+    return Diagram(cups + body + caps)
 
 
 def writhe(d: Diagram) -> int:
@@ -262,7 +228,7 @@ def connected_sum(a: Diagram, b: Diagram) -> Diagram:
     if not first or first[0] not in CUPS:
         raise DiagramError("second diagram must start with a cup slice to splice")
     cap, cup = last[0], first[0]
-    if _CAP_IN[cap] != _CUP_OUT[cup]:
+    if SIGNATURE[cap][0] != SIGNATURE[cup][1]:
         raise DiagramError(f"orientations at splice disagree: {cap.value} vs {cup.value}")
     opened_a = a.slices[:-1] + ((Tile.ID, Tile.ID) + last[1:],)
     opened_b = ((Tile.ID, Tile.ID) + first[1:],) + b.slices[1:]

@@ -34,7 +34,7 @@ from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from .spintensor import (
     TILE_CROSSING,
     PolyMatrix,
-    crossing_matrix,
+    crossing_rows,
     flat_index,
     spin_set,
     turn_weight,
@@ -75,6 +75,8 @@ TURN_ROT = {
 def _tile_rows(tile: Tile, ctx: EvalContext) -> dict:
     """The nonzero entries of a non-id tile: in-spins -> ((out_spins, weight), ...)."""
     n = ctx.n
+    if tile in TILE_CROSSING:
+        return crossing_rows(TILE_CROSSING[tile], n)
     spins = spin_set(n)
     rows: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentPoly]]] = {}
     if tile in CUPS:
@@ -82,10 +84,6 @@ def _tile_rows(tile: Tile, ctx: EvalContext) -> dict:
     elif tile in CAPS:
         for a in spins:
             rows[(a, a)] = [((), turn_weight(tile, a))]
-    elif tile in CROSSINGS:
-        for (r, c), w in crossing_matrix(TILE_CROSSING[tile], n).items():
-            rows.setdefault((spins[r // n], spins[r % n]), []).append(
-                ((spins[c // n], spins[c % n]), w))
     else:
         g = ctx.gamma
         for a, b in itertools.product(spins, repeat=2):
@@ -103,10 +101,18 @@ def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
     Spin tuples are flattened by flat_index, the same convention as the
     braid representation, so an all-down braid diagram evaluates to exactly
     its representation matrix.  A frontier over MAX_FRONTIER entries raises
-    ValueError.
+    ValueError: the top boundary's n^top_width states and a cup's n entries
+    are refused before anything is allocated, and the sweep stops within
+    one tile row of the limit.
     """
     require_valid(d)
     n = ctx.n
+    if n ** d.top_width > MAX_FRONTIER:
+        raise ValueError(f"the top boundary has {n ** d.top_width} spin states, "
+                         f"over the frontier limit of {MAX_FRONTIER}")
+    if n > MAX_FRONTIER and any(t in CUPS for _, _, t in d.tiles()):
+        raise ValueError(f"a cup makes {n} frontier entries, "
+                         f"over the limit of {MAX_FRONTIER}")
     # Frontier keyed by (top assignment, current level assignment).
     frontier: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {
         (t, t): ONE for t in itertools.product(spin_set(n), repeat=d.top_width)
@@ -128,10 +134,10 @@ def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
                         new[key] = acc
                     elif key in new:
                         del new[key]
-            if len(new) > MAX_FRONTIER:
-                raise ValueError(f"slice {i}, tile {tile.value} at position {pos}: "
-                                 f"the frontier reached {len(new)} entries, "
-                                 f"over the limit of {MAX_FRONTIER}")
+                if len(new) > MAX_FRONTIER:
+                    raise ValueError(f"slice {i}, tile {tile.value} at position {pos}: "
+                                     f"the frontier reached {len(new)} entries, "
+                                     f"over the limit of {MAX_FRONTIER}")
             frontier = new
     entries = {(flat_index(top, n), flat_index(bot, n)): amp
                for (top, bot), amp in frontier.items()}

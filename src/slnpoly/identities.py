@@ -202,37 +202,24 @@ def vertex_kink(side: str) -> Diagram:
     ], (_D,))
 
 
-def mixed_vertex_triangle(first: int) -> Diagram:
+def mixed_vertex_triangle() -> Diagram:
     """Three singular vertices in the (down, up, down) frame.
 
-    Vertices alternate between the bent pair at columns (first, first+1) and
-    the plain downward pair at the other position; `first` is 1 or 2 and the
-    reflected triangle is the one starting at the other column.
+    Vertices alternate between the bent pair at columns (1, 2) and the plain
+    downward pair at columns (2, 3); reflect_diagram gives the triangle that
+    starts at the other pair.
     """
-    if first == 1:
-        return Diagram(
-            _pad(sideways_gadget(CrossingKind.SING), 0, 1)
-            + [[_I, Tile.CROSS_SING]]
-            + _pad(sideways_gadget_mirror(CrossingKind.SING), 0, 1),
-            (_D, _U, _D),
-        )
-    if first == 2:
-        return Diagram(
-            _pad(sideways_gadget_mirror(CrossingKind.SING), 1, 0)
-            + [[Tile.CROSS_SING, _I]]
-            + _pad(sideways_gadget(CrossingKind.SING), 1, 0),
-            (_D, _U, _D),
-        )
-    raise ValueError("first must be 1 or 2")
+    return Diagram(
+        _pad(sideways_gadget(CrossingKind.SING), 0, 1)
+        + [[_I, Tile.CROSS_SING]]
+        + _pad(sideways_gadget_mirror(CrossingKind.SING), 0, 1),
+        (_D, _U, _D),
+    )
 
 
-def turnback_exchange(position: int) -> Diagram:
-    """Cap the antiparallel pair at `position`, reopen it in place (3 strands)."""
-    if position == 1:
-        return Diagram([[Tile.CAP_LEFT, _I], [Tile.CUP_RIGHT, _I]], (_D, _U, _D))
-    if position == 2:
-        return Diagram([[_I, Tile.CAP_RIGHT], [_I, Tile.CUP_LEFT]], (_D, _U, _D))
-    raise ValueError("position must be 1 or 2")
+def turnback_exchange() -> Diagram:
+    """Cap the antiparallel pair at columns (1, 2), reopen it in place (3 strands)."""
+    return Diagram([[Tile.CAP_LEFT, _I], [Tile.CUP_RIGHT, _I]], (_D, _U, _D))
 
 
 # -- the check suites ----------------------------------------------------------
@@ -357,8 +344,8 @@ def check_moy(n: int) -> list[CheckResult]:
     out.append(CheckResult(f"moy-triangle-sum-n{n}", lhs == rhs))
 
     nplus3 = quantum_int(n + 3)
-    tri = mixed_vertex_triangle(1)
-    exch = turnback_exchange(1)
+    tri = mixed_vertex_triangle()
+    exch = turnback_exchange()
     lhs5 = evaluate_tangle(tri, ctx) - evaluate_tangle(exch, ctx).scale(nplus3)
     rhs5 = (evaluate_tangle(reflect_diagram(tri), ctx)
             - evaluate_tangle(reflect_diagram(exch), ctx).scale(nplus3))

@@ -1,23 +1,26 @@
-"""Spin index sets and the elementary tensors of the state model.
+"""Spin index sets, the diagram tiles and the elementary tensors of the state model.
 
 Spins for a given n >= 2 form the equally spaced set
-I_n = {1-n, 3-n, ..., n-3, n-1}.  Crossing tensors are n^2 x n^2 matrices
-over LaurentPoly; the row index is the pair (a, b) of spins on the two top
-legs and the column index the pair (c, d) on the bottom legs.  Pairs are
-ordered lexicographically with spins ascending, which is the ordering that
-reproduces the published small matrices entry for entry, and is fixed
-project-wide: flat_index is the one flattening of a spin tuple to an index.
+I_n = {1-n, 3-n, ..., n-3, n-1}.  A spin tuple is flattened to a row or
+column index by flat_index, leftmost strand most significant with spins
+ascending; this is the ordering that reproduces the published small
+matrices entry for entry, and is fixed project-wide.
+
+The diagram vocabulary lives here so that every module reads the same
+tables: the strand orientations Orient, the tiles Tile, and SIGNATURE, the
+orientations each non-id tile needs on its in-legs and makes on its
+out-legs; the widths of a tile are read off its signature.  CROSS_TILE maps
+crossing kinds to crossing tiles.
+
+A crossing's entries are stated once, by spins, in crossing_rows: the top
+spins (a, b) map to the nonzero (bottom spins (c, d), weight) entries.
+crossing_matrix is the same tensor as an n^2 x n^2 PolyMatrix, flattened by
+flat_index.  Turn tiles (cups and caps) carry only a weight per spin,
+turn_weight; the pairing delta and the wiring live in the diagram evaluator.
 
 PolyMatrix is a sparse matrix of LaurentPoly entries.  mat_mul accumulates
 each entry of a product in one coefficient dict, through
 LaurentPoly.sum_of_products, with no polynomial built per term or partial sum.
-
-Turn tiles (cups and caps) carry only a weight per spin, turn_weight; the
-pairing delta and the wiring live in the diagram evaluator.
-
-The diagram tiles are named here too, with the one table from crossing
-kinds to crossing tiles and the one table of turn signs, so that every
-module reads the same vocabulary.
 """
 
 from __future__ import annotations
@@ -35,8 +38,15 @@ class CrossingKind(Enum):
     SING = "sing"
 
 
+class Orient(Enum):
+    """The orientation of a strand crossing a level: with the sweep or against it."""
+
+    DOWN = "down"
+    UP = "up"
+
+
 class Tile(Enum):
-    """The pieces of a sliced diagram; `diagram` states their conventions."""
+    """The pieces of a sliced diagram; SIGNATURE states their orientations."""
 
     ID = "id"
     CUP_RIGHT = "cup_right"
@@ -50,24 +60,29 @@ class Tile(Enum):
 
     @property
     def width_in(self) -> int:
-        return _WIDTHS[self][0]
+        return _WIDTH_IN[self]
 
     @property
     def width_out(self) -> int:
-        return _WIDTHS[self][1]
+        return _WIDTH_OUT[self]
 
 
-_WIDTHS = {
-    Tile.ID: (1, 1),
-    Tile.CUP_RIGHT: (0, 2),
-    Tile.CUP_LEFT: (0, 2),
-    Tile.CAP_RIGHT: (2, 0),
-    Tile.CAP_LEFT: (2, 0),
-    Tile.CROSS_POS: (2, 2),
-    Tile.CROSS_NEG: (2, 2),
-    Tile.CROSS_SING: (2, 2),
-    Tile.VERT_ALT: (2, 2),
+_D, _U = Orient.DOWN, Orient.UP
+
+# Each non-id tile's (in-orientations it needs, out-orientations it makes),
+# left to right.  id passes one strand of either orientation through.
+SIGNATURE = {
+    Tile.CUP_RIGHT: ((), (_D, _U)),
+    Tile.CUP_LEFT: ((), (_U, _D)),
+    Tile.CAP_LEFT: ((_D, _U), ()),
+    Tile.CAP_RIGHT: ((_U, _D), ()),
+    Tile.CROSS_POS: ((_D, _D), (_D, _D)),
+    Tile.CROSS_NEG: ((_D, _D), (_D, _D)),
+    Tile.CROSS_SING: ((_D, _D), (_D, _D)),
+    Tile.VERT_ALT: ((_D, _U), (_D, _U)),
 }
+_WIDTH_IN = {Tile.ID: 1, **{t: len(ins) for t, (ins, _) in SIGNATURE.items()}}
+_WIDTH_OUT = {Tile.ID: 1, **{t: len(outs) for t, (_, outs) in SIGNATURE.items()}}
 
 CROSS_TILE = {
     CrossingKind.POS: Tile.CROSS_POS,
@@ -202,11 +217,21 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
-@lru_cache(maxsize=None)
-def crossing_matrix(kind: CrossingKind, n: int) -> PolyMatrix:
-    """The n^2 x n^2 crossing tensor for a positive, negative or singular crossing.
+# The weight of a crossing's parallel entry (c, d) = (a, b), by how the top
+# spins compare: (a = b, a < b, a > b).  The flat entry d = a != b = c is 1
+# for every kind.
+_PARALLEL_WEIGHT = {
+    CrossingKind.POS: (Q, Q - QINV, ZERO),
+    CrossingKind.NEG: (QINV, ZERO, QINV - Q),
+    CrossingKind.SING: (Q + QINV, Q, QINV),
+}
 
-    Entries, with rows (a, b) on top and columns (c, d) on the bottom:
+
+@lru_cache(maxsize=None)
+def crossing_rows(kind: CrossingKind, n: int) -> dict:
+    """The nonzero entries of a crossing, by spins: (a, b) -> (((c, d), weight), ...).
+
+    The top legs carry (a, b) and the bottom legs (c, d):
 
       positive:  q - q^-1  if c = a < b = d
                  q         if a = b = c = d
@@ -221,32 +246,27 @@ def crossing_matrix(kind: CrossingKind, n: int) -> PolyMatrix:
 
     and zero everywhere else.
     """
+    eq, lt, gt = _PARALLEL_WEIGHT[kind]
     spins = spin_set(n)
-    qmqi = Q - QINV
-    entries: dict[tuple[int, int], LaurentPoly] = {}
-
-    def put(a: int, b: int, c: int, d: int, value: LaurentPoly) -> None:
-        entries[(flat_index((a, b), n), flat_index((c, d), n))] = value
-
+    rows = {}
     for a in spins:
         for b in spins:
             if a == b:
-                diag = {CrossingKind.POS: Q, CrossingKind.NEG: QINV,
-                        CrossingKind.SING: Q + QINV}[kind]
-                put(a, a, a, a, diag)
+                rows[(a, a)] = (((a, a), eq),)
                 continue
-            put(a, b, b, a, ONE)  # the flat term d = a != b = c
-            if a < b:
-                if kind is CrossingKind.POS:
-                    put(a, b, a, b, qmqi)
-                elif kind is CrossingKind.SING:
-                    put(a, b, a, b, Q)
-            else:
-                if kind is CrossingKind.NEG:
-                    put(a, b, a, b, QINV - Q)
-                elif kind is CrossingKind.SING:
-                    put(a, b, a, b, QINV)
-    return PolyMatrix(n * n, n * n, entries)
+            parallel = lt if a < b else gt
+            flat = ((b, a), ONE)
+            rows[(a, b)] = (flat, ((a, b), parallel)) if parallel else (flat,)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def crossing_matrix(kind: CrossingKind, n: int) -> PolyMatrix:
+    """The n^2 x n^2 crossing tensor of crossing_rows, rows (a, b), columns (c, d)."""
+    return PolyMatrix(n * n, n * n, {
+        (flat_index(ins, n), flat_index(outs, n)): w
+        for ins, row in crossing_rows(kind, n).items() for outs, w in row
+    })
 
 
 # Sign of the half exponent in the diagonal turn weight q^(+-a/2).

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from slnpoly.diagram import (
@@ -13,6 +15,7 @@ from slnpoly.diagram import (
     from_json,
     mirror,
     parse_braid_word,
+    tile_out_orients,
     to_json,
     validate,
     writhe,
@@ -92,6 +95,31 @@ def test_validate_orientation_error():
     d = Diagram([[Tile.CROSS_POS]], (D, U))
     problems = validate(d)
     assert problems and "oriented down" in problems[0]
+
+
+# Each non-id tile's in -> out orientations, stated here from the tile
+# conventions rather than read from spintensor.SIGNATURE.
+TILE_ORIENTS = {
+    Tile.CUP_RIGHT: ((), (D, U)),
+    Tile.CUP_LEFT: ((), (U, D)),
+    Tile.CAP_LEFT: ((D, U), ()),
+    Tile.CAP_RIGHT: ((U, D), ()),
+    Tile.CROSS_POS: ((D, D), (D, D)),
+    Tile.CROSS_NEG: ((D, D), (D, D)),
+    Tile.CROSS_SING: ((D, D), (D, D)),
+    Tile.VERT_ALT: ((D, U), (D, U)),
+}
+
+
+@pytest.mark.parametrize("tile", [t for t in Tile if t is not Tile.ID])
+def test_tile_out_orients_accepts_exactly_the_signature(tile):
+    need, out = TILE_ORIENTS[tile]
+    for ins in itertools.product(Orient, repeat=tile.width_in):
+        if ins == need:
+            assert tile_out_orients(tile, ins) == out
+        else:
+            with pytest.raises(DiagramError, match=f"^{tile.value} "):
+                tile_out_orients(tile, ins)
 
 
 def test_validate_cap_mismatch():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +132,30 @@ def test_frontier_budget_names_slice_tile_and_count(monkeypatch):
     with pytest.raises(ValueError, match=r"^slice 1, tile cup_right at position 1: "
                        r"the frontier reached 4 entries"):
         evaluate_tangle(d, EvalContext(2))
+
+
+def test_frontier_budget_trips_within_one_row(monkeypatch):
+    # a cup over 50 entries makes 2,500; the check stops it one 50-entry row
+    # past the limit
+    monkeypatch.setattr(evaluator, "MAX_FRONTIER", 100)
+    d = close_braid(parse_braid_word("s1", 2))
+    with pytest.raises(ValueError, match=r"the frontier reached \d+ entries") as exc:
+        evaluate_closed(d, EvalContext(50))
+    assert 100 < int(re.search(r"reached (\d+)", str(exc.value)).group(1)) <= 150
+
+
+def test_frontier_budget_refuses_the_top_boundary_before_any_tile(monkeypatch):
+    monkeypatch.setattr(evaluator, "MAX_FRONTIER", 10)
+    d = braid_to_diagram(parse_braid_word("s1 s2", 3))
+    with pytest.raises(ValueError, match=r"^the top boundary has 27 spin states, "
+                       r"over the frontier limit of 10$"):
+        evaluate_tangle(d, EvalContext(3))
+
+
+def test_frontier_budget_refuses_a_cup_wider_than_the_limit(monkeypatch):
+    monkeypatch.setattr(evaluator, "MAX_FRONTIER", 3)
+    with pytest.raises(ValueError, match=r"^a cup makes 4 frontier entries"):
+        evaluate_closed(close_braid(BraidWord(1)), EvalContext(4))
 
 
 def test_oracles_on_corpus_small():

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -113,6 +115,32 @@ def test_spin_set_structure():
 @pytest.mark.parametrize("kind,n", sorted(GOLDEN, key=str))
 def test_golden_matrices(kind, n):
     assert crossing_matrix(kind, n) == GOLDEN[(kind, n)]
+
+
+@pytest.mark.parametrize("kind", list(CrossingKind))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_crossing_matrix_is_the_case_table(kind, n):
+    # The docstring's case table, entry by entry, over every (a, b, c, d).
+    spins = spin_set(n)
+    index = {s: i for i, s in enumerate(spins)}
+    entries = {}
+    for a, b, c, d in itertools.product(spins, repeat=4):
+        if a == b == c == d:
+            value = {CrossingKind.POS: Q, CrossingKind.NEG: QINV,
+                     CrossingKind.SING: Q + QINV}[kind]
+        elif d == a != b == c:
+            value = ONE
+        elif c == a < b == d:
+            value = {CrossingKind.POS: Q - QINV, CrossingKind.NEG: ZERO,
+                     CrossingKind.SING: Q}[kind]
+        elif c == a > b == d:
+            value = {CrossingKind.POS: ZERO, CrossingKind.NEG: QINV - Q,
+                     CrossingKind.SING: QINV}[kind]
+        else:
+            continue
+        if value:
+            entries[(index[a] * n + index[b], index[c] * n + index[d])] = value
+    assert crossing_matrix(kind, n) == PolyMatrix(n * n, n * n, entries)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
