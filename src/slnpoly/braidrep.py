@@ -9,10 +9,11 @@ significant, matching the tangle evaluator's convention.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import LETTER_KIND, BraidWord
+from .diagram import LETTER_KIND, BraidWord, parse_braid_word
 from .spintensor import CrossingKind, PolyMatrix, crossing_matrix, kron
 
 
@@ -61,41 +62,34 @@ def check_monoid_relations(n: int, k: int) -> list[RelationCheck]:
     Checks distant commutation of all generator pairs, the inverse pair
     relation, the braid relation, the mixed relation moving a singular
     generator past a braiding pair, and commutation of a crossing with the
-    singular generator at the same index.
+    singular generator at the same index.  Each instance is stated once, as
+    the braid-word text it prints, and read through parse_braid_word; the
+    empty word is written 1.
     """
     if n < 2 or k < 2:
         raise ValueError("relation checks need n >= 2 and k >= 2")
 
-    def image(letters) -> PolyMatrix:
-        return rho(BraidWord(k, letters), n).matrix
+    def image(text: str) -> PolyMatrix:
+        return rho(parse_braid_word("" if text == "1" else text, k), n).matrix
 
     checks = []
 
-    def record(name: str, lhs_name: str, lhs, rhs_name: str, rhs):
-        checks.append(RelationCheck(name, lhs_name, rhs_name, image(lhs) == image(rhs)))
+    def record(name: str, lhs: str, rhs: str):
+        checks.append(RelationCheck(name, lhs, rhs, image(lhs) == image(rhs)))
 
     for i in range(1, k):
         for j in range(i + 2, k):
-            for gname, g in LETTER_KIND.items():
-                for hname, h in LETTER_KIND.items():
-                    record("distant-commutation",
-                           f"{gname}{i} {hname}{j}", [(g, i), (h, j)],
-                           f"{hname}{j} {gname}{i}", [(h, j), (g, i)])
+            for g, h in itertools.product(LETTER_KIND, repeat=2):
+                record("distant-commutation", f"{g}{i} {h}{j}", f"{h}{j} {g}{i}")
     for i in range(1, k):
-        record("R2", f"s{i} S{i}", [(CrossingKind.POS, i), (CrossingKind.NEG, i)],
-               "1", [])
-        record("R2", f"S{i} s{i}", [(CrossingKind.NEG, i), (CrossingKind.POS, i)],
-               "1", [])
-    P, T = CrossingKind.POS, CrossingKind.SING
+        record("R2", f"s{i} S{i}", "1")
+        record("R2", f"S{i} s{i}", "1")
     for i in range(1, k):
         for j in (i - 1, i + 1):
             if not 1 <= j < k:
                 continue
-            record("R3", f"s{i} s{j} s{i}", [(P, i), (P, j), (P, i)],
-                   f"s{j} s{i} s{j}", [(P, j), (P, i), (P, j)])
-            record("R4", f"t{i} s{j} s{i}", [(T, i), (P, j), (P, i)],
-                   f"s{j} s{i} t{j}", [(P, j), (P, i), (T, j)])
+            record("R3", f"s{i} s{j} s{i}", f"s{j} s{i} s{j}")
+            record("R4", f"t{i} s{j} s{i}", f"s{j} s{i} t{j}")
     for i in range(1, k):
-        record("R5", f"s{i} t{i}", [(P, i), (T, i)],
-               f"t{i} s{i}", [(T, i), (P, i)])
+        record("R5", f"s{i} t{i}", f"t{i} s{i}")
     return checks

@@ -30,8 +30,8 @@ from .diagram import (
     parse_braid_word,
     writhe,
 )
-from .evaluator import EvalContext, evaluate_closed, evaluate_tangle
-from .laurent import LaurentPoly, parse_poly
+from .evaluator import EvalContext, evaluate_closed, evaluate_tangle, normalized_invariant
+from .laurent import parse_poly
 from .spintensor import CrossingKind, crossing_matrix
 
 _WHICH = {"R": CrossingKind.POS, "Rbar": CrossingKind.NEG, "Q": CrossingKind.SING}
@@ -89,11 +89,9 @@ def _cmd_eval(args) -> int:
         d = close_braid(word)
     else:
         d = from_json(Path(args.diagram).read_text())
-    value = evaluate_closed(d, ctx)
+    value = (normalized_invariant if args.normalize else evaluate_closed)(d, ctx)
     if args.normalize:
-        w = writhe(d)
-        value = LaurentPoly.q_power(-w) * value
-        print(f"writhe: {w}")
+        print(f"writhe: {writhe(d)}")
     print(value)
     return 0
 

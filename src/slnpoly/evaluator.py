@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import eq, gt, lt, ne
 
 from .diagram import CAPS, CROSSINGS, CUPS, Diagram, DiagramError, Tile, require_valid, writhe
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
@@ -53,7 +54,8 @@ class EvalContext:
             raise ValueError(f"evaluation needs n >= 2, got {self.n}")
 
 
-# The largest frontier the sweep keeps; an entry costs about 1 KB.
+# The largest frontier the sweep keeps.  An entry costs about 0.5 KB, so a
+# frontier at the limit takes about 0.25 GB.
 MAX_FRONTIER = 500_000
 
 
@@ -256,21 +258,14 @@ def oracle_edge_enumeration(d: Diagram, ctx: EvalContext, edge_cap: int = 16) ->
 # Resolutions: (wiring, relation between the two strand spins, weight).
 # "par" keeps in1->out1, in2->out2; "cross" exchanges them.
 _RESOLUTIONS = {
-    Tile.CROSS_POS: (("par", "lt", Q - QINV), ("par", "eq", Q), ("cross", "ne", ONE)),
-    Tile.CROSS_NEG: (("par", "gt", QINV - Q), ("par", "eq", QINV), ("cross", "ne", ONE)),
+    Tile.CROSS_POS: (("par", lt, Q - QINV), ("par", eq, Q), ("cross", ne, ONE)),
+    Tile.CROSS_NEG: (("par", gt, QINV - Q), ("par", eq, QINV), ("cross", ne, ONE)),
     Tile.CROSS_SING: (
-        ("par", "lt", Q),
-        ("par", "gt", QINV),
-        ("par", "eq", Q + QINV),
-        ("cross", "ne", ONE),
+        ("par", lt, Q),
+        ("par", gt, QINV),
+        ("par", eq, Q + QINV),
+        ("cross", ne, ONE),
     ),
-}
-
-_REL_TEST = {
-    "lt": lambda x, y: x < y,
-    "gt": lambda x, y: x > y,
-    "eq": lambda x, y: x == y,
-    "ne": lambda x, y: x != y,
 }
 
 
@@ -330,7 +325,7 @@ def oracle_rotation_states(d: Diagram, ctx: EvalContext, crossing_cap: int = 10)
             if half % 2:
                 raise AssertionError("odd turn count on a closed loop")
             rot[loop] = half // 2
-        cons = [(uf.find(x), uf.find(y), _REL_TEST[rel]) for x, y, rel in constraints]
+        cons = [(uf.find(x), uf.find(y), rel) for x, y, rel in constraints]
 
         state_sum = ZERO
         label: dict = {}

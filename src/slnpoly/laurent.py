@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class LaurentPoly:
@@ -39,10 +39,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def from_int(cls, value: int) -> "LaurentPoly":
-        return cls({0: value})
 
     @classmethod
     def q_power(cls, k: int, coeff: int = 1) -> "LaurentPoly":
@@ -73,14 +69,8 @@ class LaurentPoly:
         """Half-exponent -> coefficient map (a copy, canonical form)."""
         return dict(self._coeffs)
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._coeffs.items()))
 
     def has_only_integer_powers(self) -> bool:
         """True if every exponent is an even number of half units."""

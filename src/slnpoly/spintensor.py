@@ -163,11 +163,9 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.cols, out)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + other.scale(LaurentPoly.from_int(-1))
+        return self + other.scale(-1)
 
     def scale(self, factor: LaurentPoly | int) -> "PolyMatrix":
-        if isinstance(factor, int):
-            factor = LaurentPoly.from_int(factor)
         return PolyMatrix(self.rows, self.cols,
                           {k: p * factor for k, p in self._entries.items()})
 

@@ -61,6 +61,13 @@ def test_eval_open_braid_is_usage_error(capsys):
     assert "closure" in err
 
 
+def test_eval_braid_without_strands_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "--n", "2", "--braid", "s1", "--closure")
+    assert code == 2
+    assert out == ""
+    assert err == "eval: --braid requires --strands\n"
+
+
 def test_eval_bad_word_is_computational_error(capsys):
     code, _, err = run(capsys, "eval", "--n", "2", "--braid", "s9",
                        "--strands", "2", "--closure")

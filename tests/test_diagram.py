@@ -153,6 +153,15 @@ def test_connected_sum():
     assert writhe(s) == 3
     with pytest.raises(DiagramError):
         connected_sum(braid_to_diagram(BraidWord(2)), circle)
+    with pytest.raises(DiagramError, match="nonempty"):
+        connected_sum(Diagram([]), circle)
+    with pytest.raises(DiagramError, match="end in a cap"):
+        connected_sum(Diagram([[Tile.CUP_RIGHT], [Tile.CAP_LEFT], []]), circle)
+    with pytest.raises(DiagramError, match="start with a cup"):
+        connected_sum(circle, Diagram([[], [Tile.CUP_RIGHT], [Tile.CAP_LEFT]]))
+    clockwise = Diagram([[Tile.CUP_LEFT], [Tile.CAP_RIGHT]])
+    with pytest.raises(DiagramError, match="disagree: cap_right vs cup_right"):
+        connected_sum(clockwise, circle)
 
 
 def test_constructions_validate():
@@ -185,6 +194,9 @@ def test_json_rejects_invalid():
         from_json('{"top": ["down"], "slices": [["cap_left"]]}')
     for text in ('{"slices": 5}', '{"slices": [null]}', '{"slices": [], "top": 3}'):
         with pytest.raises(DiagramError):
+            from_json(text)
+    for text in ('[]', '{"top": []}'):
+        with pytest.raises(DiagramError, match="'slices' key"):
             from_json(text)
 
 

@@ -86,6 +86,18 @@ def test_evaluate_closed_requires_closed():
         evaluate_closed(braid_to_diagram(BraidWord(2)), EvalContext(2))
 
 
+def test_context_needs_two_spins():
+    with pytest.raises(ValueError, match="n >= 2, got 1"):
+        EvalContext(1)
+
+
+def test_oracles_require_closed_diagrams():
+    open_braid = braid_to_diagram(parse_braid_word("s1", 2))
+    for oracle in (oracle_edge_enumeration, oracle_rotation_states):
+        with pytest.raises(DiagramError, match="requires a closed diagram"):
+            oracle(open_braid, EvalContext(2))
+
+
 def test_evaluate_rejects_invalid():
     bad = Diagram([[Tile.CROSS_POS]], (D, U))
     with pytest.raises(DiagramError):

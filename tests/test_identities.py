@@ -1,5 +1,6 @@
 import pytest
 
+from slnpoly import identities
 from slnpoly.identities import (
     all_passed,
     channel_unitarity_holds,
@@ -19,7 +20,7 @@ from slnpoly.identities import (
 from slnpoly.diagram import Diagram, Orient, Tile
 from slnpoly.evaluator import EvalContext, evaluate_tangle
 from slnpoly.laurent import ONE, Q, QINV, LaurentPoly
-from slnpoly.spintensor import CrossingKind, PolyMatrix, crossing_matrix
+from slnpoly.spintensor import CrossingKind, PolyMatrix, crossing_matrix, flat_index
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -59,6 +60,27 @@ def test_unitarity_negative_control():
     assert not channel_unitarity_holds(r, bad)
     assert cross_channel_unitarity_holds(r, rbar, 2)
     assert not cross_channel_unitarity_holds(r, bad, 2)
+
+
+@pytest.mark.parametrize("n, ins, outs, failing", [
+    # (-1, 1) -> (-1, -1): neither conserved nor in Q's support
+    (2, (-1, 1), (-1, -1), {"conservation-law", "Q-support"}),
+    # (-2, 2) -> (0, 0): conserved, but outside Q's support
+    (3, (-2, 2), (0, 0), {"Q-support"}),
+])
+def test_singular_table_checks_negative_control(monkeypatch, n, ins, outs, failing):
+    real = identities.crossing_matrix
+
+    def perturbed(kind, m):
+        mat = real(kind, m)
+        if kind is not CrossingKind.SING:
+            return mat
+        return _perturb(mat, (flat_index(ins, m), flat_index(outs, m)), ONE)
+
+    monkeypatch.setattr(identities, "crossing_matrix", perturbed)
+    passed = {r.name: r.passed for r in check_singular_relations(n)}
+    checks = ("conservation-law", "Q-support")
+    assert {c for c in checks if not passed[f"{c}-n{n}"]} == failing
 
 
 def test_zigzag_negative_control():

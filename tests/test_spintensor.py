@@ -242,6 +242,14 @@ def test_matrix_index_errors():
         PolyMatrix(2, 2, {(2, 0): ONE})
 
 
+def test_matrix_rejects_negative_dimensions_and_mismatched_sums():
+    for rows, cols in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PolyMatrix(rows, cols)
+    with pytest.raises(ValueError, match="shape mismatch 2x2 vs 2x3"):
+        PolyMatrix.identity(2) + PolyMatrix(2, 3)
+
+
 def test_matrix_rejects_entries_that_are_not_polynomials():
     with pytest.raises(TypeError, match=r"entry \(0, 1\) is not a LaurentPoly: 1$"):
         PolyMatrix(2, 2, {(0, 0): ONE, (0, 1): 1})
