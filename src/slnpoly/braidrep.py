@@ -5,6 +5,10 @@ I x ... x X x ... x I with the crossing tensor X in the i-th slot, so the
 image of a word is an n^k x n^k matrix over the Laurent ring.  Matrix
 entries are indexed by spin tuples flattened with the leftmost strand most
 significant, matching the tangle evaluator's convention.
+
+check_monoid_relations, the `monoid` verify suite, checks the monoid's
+defining relations in this representation.  CheckResult, the result type of
+every verify suite, lives here so that identities can import it.
 """
 
 from __future__ import annotations
@@ -49,47 +53,46 @@ def rho(w: BraidWord, n: int) -> RepImage:
 
 
 @dataclass(frozen=True)
-class RelationCheck:
+class CheckResult:
     name: str
-    lhs: str
-    rhs: str
     passed: bool
 
 
-def check_monoid_relations(n: int, k: int) -> list[RelationCheck]:
-    """Verify every defining relation instance of the monoid on k strands.
+def check_monoid_relations(n: int, strands: int) -> list[CheckResult]:
+    """Verify every defining relation instance of the monoid on `strands` strands.
 
     Checks distant commutation of all generator pairs, the inverse pair
     relation, the braid relation, the mixed relation moving a singular
     generator past a braiding pair, and commutation of a crossing with the
     singular generator at the same index.  Each instance is stated once, as
     the braid-word text it prints, and read through parse_braid_word; the
-    empty word is written 1.
+    empty word is written 1.  This is the `monoid` verify suite.
     """
-    if n < 2 or k < 2:
+    if n < 2 or strands < 2:
         raise ValueError("relation checks need n >= 2 and k >= 2")
 
     def image(text: str) -> PolyMatrix:
-        return rho(parse_braid_word("" if text == "1" else text, k), n).matrix
+        return rho(parse_braid_word("" if text == "1" else text, strands), n).matrix
 
     checks = []
 
     def record(name: str, lhs: str, rhs: str):
-        checks.append(RelationCheck(name, lhs, rhs, image(lhs) == image(rhs)))
+        checks.append(CheckResult(f"monoid-{name}: {lhs} = {rhs}",
+                                  image(lhs) == image(rhs)))
 
-    for i in range(1, k):
-        for j in range(i + 2, k):
+    for i in range(1, strands):
+        for j in range(i + 2, strands):
             for g, h in itertools.product(LETTER_KIND, repeat=2):
                 record("distant-commutation", f"{g}{i} {h}{j}", f"{h}{j} {g}{i}")
-    for i in range(1, k):
+    for i in range(1, strands):
         record("R2", f"s{i} S{i}", "1")
         record("R2", f"S{i} s{i}", "1")
-    for i in range(1, k):
+    for i in range(1, strands):
         for j in (i - 1, i + 1):
-            if not 1 <= j < k:
+            if not 1 <= j < strands:
                 continue
             record("R3", f"s{i} s{j} s{i}", f"s{j} s{i} s{j}")
             record("R4", f"t{i} s{j} s{i}", f"s{j} s{i} t{j}")
-    for i in range(1, k):
+    for i in range(1, strands):
         record("R5", f"s{i} t{i}", f"t{i} s{i}")
     return checks

@@ -9,16 +9,16 @@ from the real model data.
 Several identities live in mixed-orientation frames where a crossing or a
 singular vertex sits between antiparallel strands.  Those are built from
 the downward-only tiles by bending one strand around the tile with a cup
-and a cap (the sideways gadgets below); composing a gadget with its mirror
-partner of opposite sign is the antiparallel second Reidemeister move and
-must give the identity, which pins the handedness bookkeeping.
+and a cap (the sideways gadgets below); composing a gadget with its
+reflection is the antiparallel second Reidemeister move and must give the
+identity, which pins the handedness bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 
-from .braidrep import check_monoid_relations
+from .braidrep import CheckResult, check_monoid_relations
 from .diagram import MIRROR_TILE, Diagram, Orient, Tile
 from .evaluator import EvalContext, evaluate_tangle
 from .laurent import ONE, Q, QINV, LaurentPoly, quantum_int
@@ -33,12 +33,6 @@ from .spintensor import (
     spin_set,
     turn_weight,
 )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
 
 
 def all_passed(results: list[CheckResult]) -> bool:
@@ -124,15 +118,6 @@ def sideways_gadget(kind: CrossingKind) -> list[list[Tile]]:
     ]
 
 
-def sideways_gadget_mirror(kind: CrossingKind) -> list[list[Tile]]:
-    """Mirror partner of sideways_gadget: (up, down) on top to (down, up) below."""
-    return [
-        [_I, _I, Tile.CUP_RIGHT],
-        [_I, CROSS_TILE[kind], _I],
-        [Tile.CAP_RIGHT, _I, _I],
-    ]
-
-
 def _pad(slices: list[list[Tile]], left: int, right: int) -> list[list[Tile]]:
     return [[_I] * left + s + [_I] * right for s in slices]
 
@@ -144,14 +129,21 @@ _REFLECT_TILE = {
 }
 
 
+def _reflect(slices) -> list[list[Tile]]:
+    """Left-right mirror of a slice stack.
+
+    Tile order reverses, and turn chirality and crossing signs flip, so the
+    reflection of a sideways gadget maps (up, down) on top to (down, up)
+    below through a crossing of the opposite sign.
+    """
+    return [[_REFLECT_TILE.get(t, t) for t in reversed(s)] for s in slices]
+
+
 def reflect_diagram(d: Diagram) -> Diagram:
-    """Left-right mirror: tile order reverses, turn chirality and crossing signs flip."""
+    """Left-right mirror of a diagram; its top boundary reverses too."""
     if any(t is Tile.VERT_ALT for _, _, t in d.tiles()):
         raise ValueError("reflection of the alternating vertex is not representable")
-    return Diagram(
-        tuple(tuple(_REFLECT_TILE.get(t, t) for t in reversed(s)) for s in d.slices),
-        tuple(reversed(d.top)),
-    )
+    return Diagram(_reflect(d.slices), tuple(reversed(d.top)))
 
 
 def turnback_pair(n: int) -> PolyMatrix:
@@ -202,10 +194,9 @@ def mixed_vertex_triangle() -> Diagram:
     downward pair at columns (2, 3); reflect_diagram gives the triangle that
     starts at the other pair.
     """
+    gadget = sideways_gadget(CrossingKind.SING)
     return Diagram(
-        _pad(sideways_gadget(CrossingKind.SING), 0, 1)
-        + [[_I, Tile.CROSS_SING]]
-        + _pad(sideways_gadget_mirror(CrossingKind.SING), 0, 1),
+        _pad(gadget, 0, 1) + [[_I, Tile.CROSS_SING]] + _pad(_reflect(gadget), 0, 1),
         (_D, _U, _D),
     )
 
@@ -238,22 +229,22 @@ def check_unitarity(n: int) -> list[CheckResult]:
     # The four S-shaped planar wiggles must evaluate to the identity strand.
     ctx = EvalContext(n)
     eye = PolyMatrix.identity(n)
-    wiggles = {
-        "down-right": Diagram([[_I, Tile.CUP_LEFT], [Tile.CAP_LEFT, _I]], (_D,)),
-        "down-left": Diagram([[Tile.CUP_RIGHT, _I], [_I, Tile.CAP_RIGHT]], (_D,)),
-        "up-right": Diagram([[_I, Tile.CUP_RIGHT], [Tile.CAP_RIGHT, _I]], (_U,)),
-        "up-left": Diagram([[Tile.CUP_LEFT, _I], [_I, Tile.CAP_LEFT]], (_U,)),
+    # The left wiggles are the reflections of the right ones.
+    right_wiggles = {
+        "down": Diagram([[_I, Tile.CUP_LEFT], [Tile.CAP_LEFT, _I]], (_D,)),
+        "up": Diagram([[_I, Tile.CUP_RIGHT], [Tile.CAP_RIGHT, _I]], (_U,)),
     }
-    for label, d in wiggles.items():
-        out.append(CheckResult(f"zigzag-diagram-{label}-n{n}",
-                               evaluate_tangle(d, ctx) == eye))
+    for way, d in right_wiggles.items():
+        for side, wiggle in (("right", d), ("left", reflect_diagram(d))):
+            out.append(CheckResult(f"zigzag-diagram-{way}-{side}-n{n}",
+                                   evaluate_tangle(wiggle, ctx) == eye))
     # Antiparallel second Reidemeister move: a sideways crossing composed
-    # with its mirror partner of opposite sign is the identity.  This is the
+    # with its reflection, of opposite sign, is the identity.  This is the
     # diagram-level face of cross-channel unitarity.
     eye2 = PolyMatrix.identity(n * n)
-    for label, k1, k2 in (("pos-neg", CrossingKind.POS, CrossingKind.NEG),
-                          ("neg-pos", CrossingKind.NEG, CrossingKind.POS)):
-        d = Diagram(sideways_gadget(k1) + sideways_gadget_mirror(k2), (_D, _U))
+    for label, kind in (("pos-neg", CrossingKind.POS), ("neg-pos", CrossingKind.NEG)):
+        gadget = sideways_gadget(kind)
+        d = Diagram(gadget + _reflect(gadget), (_D, _U))
         out.append(CheckResult(f"antiparallel-R2-{label}-n{n}",
                                evaluate_tangle(d, ctx) == eye2))
     return out
@@ -273,13 +264,12 @@ def check_singular_relations(n: int) -> list[CheckResult]:
         CheckResult(f"Q=Rbar+qI-n{n}", q == rbar + eye.scale(Q)),
         CheckResult(f"R-Rbar=(q-qinv)I-n{n}", r - rbar == eye.scale(Q - QINV)),
     ]
-    spins = spin_set(n)
+    spins_at = {flat_index(p, n): p for p in itertools.product(spin_set(n), repeat=2)}
     support_ok = True
     conservation_ok = True
     for mat in (r, rbar, q):
         for (row, col), _ in mat.items():
-            a, b = spins[row // n], spins[row % n]
-            c, d = spins[col // n], spins[col % n]
+            (a, b), (c, d) = spins_at[row], spins_at[col]
             if a + b != c + d:
                 conservation_ok = False
             if mat is q and not ((a == c and b == d) or (d == a != b == c)):
@@ -323,15 +313,14 @@ def check_moy(n: int) -> list[CheckResult]:
     out.append(CheckResult(f"moy-parallel-bigon-n{n}",
                            bigon == q_mat.scale(quantum_int(2))))
 
-    anti = Diagram(sideways_gadget(CrossingKind.SING)
-                   + sideways_gadget_mirror(CrossingKind.SING), (_D, _U))
+    gadget = sideways_gadget(CrossingKind.SING)
+    anti = Diagram(gadget + _reflect(gadget), (_D, _U))
     got = evaluate_tangle(anti, ctx)
     want = PolyMatrix.identity(n * n) + turnback_pair(n).scale(quantum_int(n + 2))
     out.append(CheckResult(f"moy-antiparallel-bigon-n{n}", got == want))
 
-    eye3 = PolyMatrix.identity(n)
-    q1 = kron(q_mat, eye3)
-    q2 = kron(eye3, q_mat)
+    q1 = kron(q_mat, eye)
+    q2 = kron(eye, q_mat)
     lhs = mat_mul(mat_mul(q1, q2), q1) + q2
     rhs = mat_mul(mat_mul(q2, q1), q2) + q1
     out.append(CheckResult(f"moy-triangle-sum-n{n}", lhs == rhs))
@@ -362,13 +351,11 @@ def check_gamma_extension(n: int, gamma: LaurentPoly) -> list[CheckResult]:
     out = []
 
     # R4: slide a downward strand past the vertex, above vs below, for the
-    # two self-consistent over/under sign pairs.
+    # two self-consistent over/under sign pairs: the reflected gadget of a
+    # kind over a plain crossing of the same kind.
     top = (_D, _U, _D)
-    for label, gadget_kind, plain_tile in (
-        ("over", CrossingKind.NEG, Tile.CROSS_POS),
-        ("under", CrossingKind.POS, Tile.CROSS_NEG),
-    ):
-        slide = _pad(sideways_gadget_mirror(gadget_kind), 1, 0) + [[plain_tile, _I]]
+    for label, kind in (("over", CrossingKind.POS), ("under", CrossingKind.NEG)):
+        slide = _pad(_reflect(sideways_gadget(kind)), 1, 0) + [[CROSS_TILE[kind], _I]]
         below = Diagram([[Tile.VERT_ALT, _I]] + slide, top)
         above = Diagram(slide + [[_I, Tile.VERT_ALT]], top)
         ok = evaluate_tangle(below, ctx) == evaluate_tangle(above, ctx)
@@ -412,12 +399,6 @@ def check_gamma_extension(n: int, gamma: LaurentPoly) -> list[CheckResult]:
     return out
 
 
-def check_monoid(n: int, strands: int) -> list[CheckResult]:
-    """The defining relations of the singular braid monoid on `strands` strands."""
-    return [CheckResult(f"monoid-{c.name}: {c.lhs} = {c.rhs}", c.passed)
-            for c in check_monoid_relations(n, strands)]
-
-
 # Every verify suite, in the order `verify --suite all` runs them.  Each takes
 # n first; further parameters name the verify options it reads.
 SUITES = {
@@ -427,5 +408,5 @@ SUITES = {
     "curl": check_curl_vertex,
     "moy": check_moy,
     "gamma": check_gamma_extension,
-    "monoid": check_monoid,
+    "monoid": check_monoid_relations,
 }

@@ -64,8 +64,9 @@ def test_monoid_relations(n, k):
 
 
 def test_monoid_relation_names():
-    names = {c.name for c in check_monoid_relations(2, 4)}
-    assert names == {"distant-commutation", "R2", "R3", "R4", "R5"}
+    names = {c.name.split(":")[0] for c in check_monoid_relations(2, 4)}
+    assert names == {"monoid-distant-commutation", "monoid-R2", "monoid-R3",
+                     "monoid-R4", "monoid-R5"}
 
 
 def test_corrupted_generator_fails_r5():

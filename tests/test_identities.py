@@ -14,7 +14,6 @@ from slnpoly.identities import (
     curled_vertex,
     reflect_diagram,
     sideways_gadget,
-    sideways_gadget_mirror,
     ybe_holds,
 )
 from slnpoly.diagram import Diagram, Orient, Tile
@@ -115,16 +114,17 @@ def test_moy_reports_five_relations():
 
 
 def test_sideways_gadgets_are_antiparallel_r2_pairs():
+    from slnpoly.identities import _reflect
+
     d, u = Orient.DOWN, Orient.UP
     for n in (2, 3):
         ctx = EvalContext(n)
         eye = PolyMatrix.identity(n * n)
-        pair = Diagram(sideways_gadget(CrossingKind.POS)
-                       + sideways_gadget_mirror(CrossingKind.NEG), (d, u))
+        gadget = sideways_gadget(CrossingKind.POS)
+        pair = Diagram(gadget + _reflect(gadget), (d, u))
         assert evaluate_tangle(pair, ctx) == eye
         # same-sign composition is not the identity
-        bad = Diagram(sideways_gadget(CrossingKind.POS)
-                      + sideways_gadget_mirror(CrossingKind.POS), (d, u))
+        bad = Diagram(gadget + _reflect(sideways_gadget(CrossingKind.NEG)), (d, u))
         assert evaluate_tangle(bad, ctx) != eye
 
 
@@ -150,12 +150,59 @@ def test_gamma_defect_structure():
 
 def test_gamma_r4_mixed_signs_fail():
     # inconsistent over/under choices are not a rigid-vertex move
-    from slnpoly.identities import _pad
+    from slnpoly.identities import _pad, _reflect
 
     d, u = Orient.DOWN, Orient.UP
     top = (d, u, d)
     ctx = EvalContext(2, Q)
-    slide = _pad(sideways_gadget_mirror(CrossingKind.POS), 1, 0) + [[Tile.CROSS_POS, Tile.ID]]
+    slide = (_pad(_reflect(sideways_gadget(CrossingKind.NEG)), 1, 0)
+             + [[Tile.CROSS_POS, Tile.ID]])
     below = Diagram([[Tile.VERT_ALT, Tile.ID]] + slide, top)
     above = Diagram(slide + [[Tile.ID, Tile.VERT_ALT]], top)
     assert evaluate_tangle(below, ctx) != evaluate_tangle(above, ctx)
+
+
+@pytest.mark.parametrize("flipped, failing", [
+    (Tile.CUP_LEFT, {"antiparallel-R2-pos-neg", "antiparallel-R2-neg-pos",
+                     "zigzag-diagram-down-right", "zigzag-diagram-up-left"}),
+    (Tile.CAP_RIGHT, {"antiparallel-R2-pos-neg", "antiparallel-R2-neg-pos",
+                      "zigzag-diagram-down-left", "zigzag-diagram-up-right"}),
+])
+def test_reflected_fixtures_negative_control(monkeypatch, flipped, failing):
+    # a turn tile weighted q^(-+s/2) in place of q^(+-s/2) fails exactly the
+    # wiggles and sideways pairs that run through it, right and reflected
+    from slnpoly import evaluator
+
+    real = evaluator.turn_weight
+
+    def flipped_weight(tile, spin):
+        return real(tile, -spin if tile is flipped else spin)
+
+    evaluator._tile_rows.cache_clear()
+    monkeypatch.setattr(evaluator, "turn_weight", flipped_weight)
+    try:
+        for n in (2, 3):
+            failed = {r.name.removesuffix(f"-n{n}")
+                      for r in check_unitarity(n) if not r.passed}
+            assert failed == failing
+    finally:
+        monkeypatch.undo()
+        evaluator._tile_rows.cache_clear()
+
+
+@pytest.mark.parametrize("kind, mirrored", [
+    (CrossingKind.POS, Tile.CROSS_NEG),
+    (CrossingKind.NEG, Tile.CROSS_POS),
+    (CrossingKind.SING, Tile.CROSS_SING),
+])
+def test_reflected_gadget_is_the_mirror_table(kind, mirrored):
+    # the (up, down) -> (down, up) partner of sideways_gadget, written out
+    i = Tile.ID
+    table = [
+        [i, i, Tile.CUP_RIGHT],
+        [i, mirrored, i],
+        [Tile.CAP_RIGHT, i, i],
+    ]
+    d, u = Orient.DOWN, Orient.UP
+    reflected = reflect_diagram(Diagram(sideways_gadget(kind), (d, u)))
+    assert reflected == Diagram(table, (u, d))
