@@ -2,7 +2,6 @@
 
 from .laurent import LaurentPoly, parse_poly, quantum_int
 from .spintensor import (
-    CrossingKind,
     PolyMatrix,
     crossing_matrix,
     kron,
@@ -49,8 +48,7 @@ from .identities import (
 
 __all__ = [
     "LaurentPoly", "parse_poly", "quantum_int",
-    "CrossingKind", "PolyMatrix", "crossing_matrix", "kron",
-    "mat_mul", "spin_set",
+    "PolyMatrix", "crossing_matrix", "kron", "mat_mul", "spin_set",
     "BraidWord", "Diagram", "DiagramError", "Orient", "Tile",
     "braid_to_diagram", "close_braid", "connected_sum", "disjoint_union",
     "from_json", "mirror", "parse_braid_word", "to_json", "validate", "writhe",

@@ -1,10 +1,11 @@
 """The representation of the singular braid monoid by Kronecker products.
 
-A generator acting on strands (i, i+1) of a k-strand braid maps to
-I x ... x X x ... x I with the crossing tensor X in the i-th slot, so the
-image of a word is an n^k x n^k matrix over the Laurent ring.  Matrix
-entries are indexed by spin tuples flattened with the leftmost strand most
-significant, matching the tangle evaluator's convention.
+A letter is a crossing tile acting on strands (i, i+1) of a k-strand
+braid; it maps to I x ... x X x ... x I with the tile's tensor X in the
+i-th slot, and a word maps to the mat_mul product of its letters' images,
+an n^k x n^k matrix over the Laurent ring.  Matrix entries are indexed by
+spin tuples flattened with the leftmost strand most significant, matching
+the tangle evaluator's convention.
 
 check_monoid_relations, the `monoid` verify suite, checks the monoid's
 defining relations in this representation.  CheckResult, the result type of
@@ -17,8 +18,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .diagram import LETTER_KIND, BraidWord, parse_braid_word
-from .spintensor import CrossingKind, PolyMatrix, crossing_matrix, kron
+from .diagram import LETTER_TILE, BraidWord, parse_braid_word
+from .spintensor import PolyMatrix, Tile, crossing_matrix, kron, mat_mul
 
 
 # The largest n^k for which rho builds its n^k x n^k matrices.
@@ -33,10 +34,10 @@ class RepImage:
 
 
 @lru_cache(maxsize=None)
-def _generator_image(kind: CrossingKind, index: int, strands: int, n: int) -> PolyMatrix:
+def _generator_image(tile: Tile, index: int, strands: int, n: int) -> PolyMatrix:
     left = PolyMatrix.identity(n ** (index - 1))
     right = PolyMatrix.identity(n ** (strands - index - 1))
-    return kron(kron(left, crossing_matrix(kind, n)), right)
+    return kron(kron(left, crossing_matrix(tile, n)), right)
 
 
 def rho(w: BraidWord, n: int) -> RepImage:
@@ -47,8 +48,8 @@ def rho(w: BraidWord, n: int) -> RepImage:
         raise ValueError(f"the representation at n={n} on k={w.strands} strands "
                          f"exceeds the limit n^k <= {MAX_REP_SIZE}")
     mat = PolyMatrix.identity(n ** w.strands)
-    for kind, i in w.letters:
-        mat = mat @ _generator_image(kind, i, w.strands, n)
+    for tile, i in w.letters:
+        mat = mat_mul(mat, _generator_image(tile, i, w.strands, n))
     return RepImage(w.strands, n, mat)
 
 
@@ -82,7 +83,7 @@ def check_monoid_relations(n: int, strands: int) -> list[CheckResult]:
 
     for i in range(1, strands):
         for j in range(i + 2, strands):
-            for g, h in itertools.product(LETTER_KIND, repeat=2):
+            for g, h in itertools.product(LETTER_TILE, repeat=2):
                 record("distant-commutation", f"{g}{i} {h}{j}", f"{h}{j} {g}{i}")
     for i in range(1, strands):
         record("R2", f"s{i} S{i}", "1")

@@ -32,9 +32,9 @@ from .diagram import (
 )
 from .evaluator import EvalContext, evaluate_closed, evaluate_tangle, normalized_invariant
 from .laurent import parse_poly
-from .spintensor import CrossingKind, crossing_matrix
+from .spintensor import Tile, crossing_matrix
 
-_WHICH = {"R": CrossingKind.POS, "Rbar": CrossingKind.NEG, "Q": CrossingKind.SING}
+_WHICH = {"R": Tile.CROSS_POS, "Rbar": Tile.CROSS_NEG, "Q": Tile.CROSS_SING}
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .spintensor import CROSS_TILE, SIGNATURE, CrossingKind, Orient, Tile
+from .spintensor import SIGNATURE, Orient, Tile
 
 CUPS = (Tile.CUP_RIGHT, Tile.CUP_LEFT)
 CAPS = (Tile.CAP_RIGHT, Tile.CAP_LEFT)
-CROSSINGS = tuple(CROSS_TILE.values())
+CROSSINGS = (Tile.CROSS_POS, Tile.CROSS_NEG, Tile.CROSS_SING)
 
 
 class DiagramError(ValueError):
@@ -113,16 +113,18 @@ def require_valid(d: Diagram) -> None:
 
 @dataclass(frozen=True)
 class BraidWord:
-    """A word in the singular braid monoid generators on `strands` strands."""
+    """A singular braid word on `strands` strands: (crossing tile, index) letters."""
 
     strands: int
-    letters: tuple[tuple[CrossingKind, int], ...] = field(default_factory=tuple)
+    letters: tuple[tuple[Tile, int], ...] = ()
 
     def __init__(self, strands: int, letters=()):
         if strands < 1:
             raise ValueError(f"braids need at least one strand, got {strands}")
         letters = tuple(letters)
-        for kind, i in letters:
+        for tile, i in letters:
+            if tile not in CROSSINGS:
+                raise ValueError(f"braid letters are crossing tiles, got {tile!r}")
             if not 1 <= i < strands:
                 raise ValueError(f"generator index {i} out of range for {strands} strands")
         object.__setattr__(self, "strands", strands)
@@ -136,7 +138,7 @@ class BraidWord:
 
 _TOKEN_RE = re.compile(r"^([sSt])(\d+)$")
 
-LETTER_KIND = {"s": CrossingKind.POS, "S": CrossingKind.NEG, "t": CrossingKind.SING}
+LETTER_TILE = {"s": Tile.CROSS_POS, "S": Tile.CROSS_NEG, "t": Tile.CROSS_SING}
 
 
 def parse_braid_word(text: str, strands: int) -> BraidWord:
@@ -146,11 +148,11 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         m = _TOKEN_RE.match(token)
         if not m:
             raise ValueError(f"bad braid token {token!r} at position {pos}")
-        kind, i = LETTER_KIND[m.group(1)], int(m.group(2))
+        tile, i = LETTER_TILE[m.group(1)], int(m.group(2))
         if not 1 <= i < strands:
             raise ValueError(f"token {token!r} at position {pos}: index {i} "
                              f"out of range for {strands} strands")
-        letters.append((kind, i))
+        letters.append((tile, i))
     return BraidWord(strands, letters)
 
 
@@ -158,8 +160,8 @@ def braid_to_diagram(w: BraidWord) -> Diagram:
     """The open all-strands-down tangle of a braid word."""
     k = w.strands
     slices = []
-    for kind, i in w.letters:
-        slices.append([Tile.ID] * (i - 1) + [CROSS_TILE[kind]] + [Tile.ID] * (k - i - 1))
+    for tile, i in w.letters:
+        slices.append([Tile.ID] * (i - 1) + [tile] + [Tile.ID] * (k - i - 1))
     return Diagram(slices, (Orient.DOWN,) * k)
 
 

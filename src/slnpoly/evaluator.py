@@ -26,14 +26,13 @@ nothing like the frontier sweep.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import eq, gt, lt, ne
 
 from .diagram import CAPS, CROSSINGS, CUPS, Diagram, DiagramError, Tile, require_valid, writhe
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from .spintensor import (
-    TILE_CROSSING,
     PolyMatrix,
     crossing_rows,
     flat_index,
@@ -47,7 +46,7 @@ class EvalContext:
     """Evaluation parameters: the spin count n and the vertex weight gamma."""
 
     n: int
-    gamma: LaurentPoly = field(default_factory=LaurentPoly.one)
+    gamma: LaurentPoly = ONE
 
     def __post_init__(self):
         if self.n < 2:
@@ -77,8 +76,8 @@ TURN_ROT = {
 def _tile_rows(tile: Tile, ctx: EvalContext) -> dict:
     """The nonzero entries of a non-id tile: in-spins -> ((out_spins, weight), ...)."""
     n = ctx.n
-    if tile in TILE_CROSSING:
-        return crossing_rows(TILE_CROSSING[tile], n)
+    if tile in CROSSINGS:
+        return crossing_rows(tile, n)
     spins = spin_set(n)
     rows: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentPoly]]] = {}
     if tile in CUPS:

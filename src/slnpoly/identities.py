@@ -21,10 +21,8 @@ import itertools
 from .braidrep import CheckResult, check_monoid_relations
 from .diagram import MIRROR_TILE, Diagram, Orient, Tile
 from .evaluator import EvalContext, evaluate_tangle
-from .laurent import ONE, Q, QINV, LaurentPoly, quantum_int
+from .laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from .spintensor import (
-    CROSS_TILE,
-    CrossingKind,
     PolyMatrix,
     crossing_matrix,
     flat_index,
@@ -72,12 +70,12 @@ def cross_channel_unitarity_holds(r: PolyMatrix, rbar: PolyMatrix, n: int) -> bo
         for b in spins:
             for c in spins:
                 for d in spins:
-                    total = LaurentPoly.zero()
+                    total = ZERO
                     for i in spins:
                         for j in spins:
                             w = LaurentPoly.half_power(b + d - 2 * i)
                             total = total + w * entry(rbar, (i, a), (j, b)) * entry(r, (j, d), (i, c))
-                    want = ONE if (a == c and d == b) else LaurentPoly.zero()
+                    want = ONE if (a == c and d == b) else ZERO
                     if total != want:
                         return False
     return True
@@ -104,7 +102,7 @@ _I = Tile.ID
 _D, _U = Orient.DOWN, Orient.UP
 
 
-def sideways_gadget(kind: CrossingKind) -> list[list[Tile]]:
+def sideways_gadget(tile: Tile) -> list[list[Tile]]:
     """Crossing of a (down, up) strand pair, realized with one cup and one cap.
 
     Maps boundary orientations (down, up) on top to (up, down) below; the up
@@ -113,7 +111,7 @@ def sideways_gadget(kind: CrossingKind) -> list[list[Tile]]:
     """
     return [
         [Tile.CUP_LEFT, _I, _I],
-        [_I, CROSS_TILE[kind], _I],
+        [_I, tile, _I],
         [_I, _I, Tile.CAP_LEFT],
     ]
 
@@ -152,7 +150,7 @@ def turnback_pair(n: int) -> PolyMatrix:
     return evaluate_tangle(d, EvalContext(n))
 
 
-def curled_vertex(kind: CrossingKind) -> Diagram:
+def curled_vertex(tile: Tile) -> Diagram:
     """A crossing-type singular vertex carried into the (down, up) frame by a curl.
 
     Two adjacent legs of the vertex are bent around its right side and cross
@@ -160,7 +158,7 @@ def curled_vertex(kind: CrossingKind) -> Diagram:
     if the polynomial were R6-invariant, equal q times the alternating
     vertex.
     """
-    if kind is CrossingKind.SING:
+    if tile not in MIRROR_TILE:
         raise ValueError("the curl is a classical crossing")
     return Diagram([
         [_I, _I, Tile.CUP_RIGHT],
@@ -168,7 +166,7 @@ def curled_vertex(kind: CrossingKind) -> Diagram:
         [_I, Tile.CUP_RIGHT, _I],
         [Tile.CROSS_SING, _I, _I],
         [_I, Tile.CUP_LEFT, _I, _I, _I],
-        [_I, _I, CROSS_TILE[kind], _I, _I],
+        [_I, _I, tile, _I, _I],
         [_I, _I, _I, Tile.CAP_LEFT, _I],
         [_I, _I, Tile.CAP_LEFT],
     ], (_D, _U))
@@ -194,7 +192,7 @@ def mixed_vertex_triangle() -> Diagram:
     downward pair at columns (2, 3); reflect_diagram gives the triangle that
     starts at the other pair.
     """
-    gadget = sideways_gadget(CrossingKind.SING)
+    gadget = sideways_gadget(Tile.CROSS_SING)
     return Diagram(
         _pad(gadget, 0, 1) + [[_I, Tile.CROSS_SING]] + _pad(_reflect(gadget), 0, 1),
         (_D, _U, _D),
@@ -211,15 +209,15 @@ def turnback_exchange() -> Diagram:
 
 def check_ybe(n: int) -> list[CheckResult]:
     out = []
-    for name, kind in (("R", CrossingKind.POS), ("Rbar", CrossingKind.NEG)):
-        ok = ybe_holds(crossing_matrix(kind, n), n)
+    for name, tile in (("R", Tile.CROSS_POS), ("Rbar", Tile.CROSS_NEG)):
+        ok = ybe_holds(crossing_matrix(tile, n), n)
         out.append(CheckResult(f"ybe-{name}-n{n}", ok))
     return out
 
 
 def check_unitarity(n: int) -> list[CheckResult]:
-    r = crossing_matrix(CrossingKind.POS, n)
-    rbar = crossing_matrix(CrossingKind.NEG, n)
+    r = crossing_matrix(Tile.CROSS_POS, n)
+    rbar = crossing_matrix(Tile.CROSS_NEG, n)
     out = [
         CheckResult(f"channel-unitarity-n{n}", channel_unitarity_holds(r, rbar)),
         CheckResult(f"cross-channel-unitarity-n{n}",
@@ -242,8 +240,8 @@ def check_unitarity(n: int) -> list[CheckResult]:
     # with its reflection, of opposite sign, is the identity.  This is the
     # diagram-level face of cross-channel unitarity.
     eye2 = PolyMatrix.identity(n * n)
-    for label, kind in (("pos-neg", CrossingKind.POS), ("neg-pos", CrossingKind.NEG)):
-        gadget = sideways_gadget(kind)
+    for label, tile in (("pos-neg", Tile.CROSS_POS), ("neg-pos", Tile.CROSS_NEG)):
+        gadget = sideways_gadget(tile)
         d = Diagram(gadget + _reflect(gadget), (_D, _U))
         out.append(CheckResult(f"antiparallel-R2-{label}-n{n}",
                                evaluate_tangle(d, ctx) == eye2))
@@ -251,9 +249,9 @@ def check_unitarity(n: int) -> list[CheckResult]:
 
 
 def check_singular_relations(n: int) -> list[CheckResult]:
-    r = crossing_matrix(CrossingKind.POS, n)
-    rbar = crossing_matrix(CrossingKind.NEG, n)
-    q = crossing_matrix(CrossingKind.SING, n)
+    r = crossing_matrix(Tile.CROSS_POS, n)
+    rbar = crossing_matrix(Tile.CROSS_NEG, n)
+    q = crossing_matrix(Tile.CROSS_SING, n)
     eye = PolyMatrix.identity(n * n)
     out = [
         CheckResult(f"RQ=QR=qQ-n{n}",
@@ -282,7 +280,7 @@ def check_singular_relations(n: int) -> list[CheckResult]:
 def check_curl_vertex(n: int) -> list[CheckResult]:
     """A classical crossing on two adjacent legs of a singular vertex scales it."""
     ctx = EvalContext(n)
-    q_mat = crossing_matrix(CrossingKind.SING, n)
+    q_mat = crossing_matrix(Tile.CROSS_SING, n)
     cases = (
         ("pos-curl-above", Tile.CROSS_POS, True, Q),
         ("pos-curl-below", Tile.CROSS_POS, False, Q),
@@ -308,12 +306,12 @@ def check_moy(n: int) -> list[CheckResult]:
         out.append(CheckResult(f"moy-kink-{side}-n{n}",
                                got == eye.scale(quantum_int(n + 1))))
 
-    q_mat = crossing_matrix(CrossingKind.SING, n)
+    q_mat = crossing_matrix(Tile.CROSS_SING, n)
     bigon = evaluate_tangle(Diagram([[Tile.CROSS_SING], [Tile.CROSS_SING]], (_D, _D)), ctx)
     out.append(CheckResult(f"moy-parallel-bigon-n{n}",
                            bigon == q_mat.scale(quantum_int(2))))
 
-    gadget = sideways_gadget(CrossingKind.SING)
+    gadget = sideways_gadget(Tile.CROSS_SING)
     anti = Diagram(gadget + _reflect(gadget), (_D, _U))
     got = evaluate_tangle(anti, ctx)
     want = PolyMatrix.identity(n * n) + turnback_pair(n).scale(quantum_int(n + 2))
@@ -352,10 +350,10 @@ def check_gamma_extension(n: int, gamma: LaurentPoly) -> list[CheckResult]:
 
     # R4: slide a downward strand past the vertex, above vs below, for the
     # two self-consistent over/under sign pairs: the reflected gadget of a
-    # kind over a plain crossing of the same kind.
+    # crossing over a plain crossing of the same sign.
     top = (_D, _U, _D)
-    for label, kind in (("over", CrossingKind.POS), ("under", CrossingKind.NEG)):
-        slide = _pad(_reflect(sideways_gadget(kind)), 1, 0) + [[CROSS_TILE[kind], _I]]
+    for label, tile in (("over", Tile.CROSS_POS), ("under", Tile.CROSS_NEG)):
+        slide = _pad(_reflect(sideways_gadget(tile)), 1, 0) + [[tile, _I]]
         below = Diagram([[Tile.VERT_ALT, _I]] + slide, top)
         above = Diagram(slide + [[_I, Tile.VERT_ALT]], top)
         ok = evaluate_tangle(below, ctx) == evaluate_tangle(above, ctx)
@@ -366,8 +364,8 @@ def check_gamma_extension(n: int, gamma: LaurentPoly) -> list[CheckResult]:
     # it as a kink worth q^(+-n).
     crossed_turnback = evaluate_tangle(
         Diagram([[Tile.CAP_LEFT], [Tile.CUP_LEFT]], (_D, _U)), plain_ctx)
-    for label, kind, e in (("pos", CrossingKind.POS, n), ("neg", CrossingKind.NEG, -n)):
-        twist = sideways_gadget(kind)
+    for label, tile, e in (("pos", Tile.CROSS_POS, n), ("neg", Tile.CROSS_NEG, -n)):
+        twist = sideways_gadget(tile)
         kinked = evaluate_tangle(
             Diagram([[Tile.CAP_LEFT], [Tile.CUP_RIGHT]] + twist, (_D, _U)), plain_ctx)
         out.append(CheckResult(
@@ -384,8 +382,8 @@ def check_gamma_extension(n: int, gamma: LaurentPoly) -> list[CheckResult]:
     v_alt = evaluate_tangle(Diagram([[Tile.VERT_ALT]], (_D, _U)), one_ctx)
     p1 = PolyMatrix.identity(n * n)
     p2 = turnback_pair(n)
-    for label, kind, e in (("pos", CrossingKind.POS, 1), ("neg", CrossingKind.NEG, -1)):
-        lhs = evaluate_tangle(curled_vertex(kind), plain_ctx)
+    for label, tile, e in (("pos", Tile.CROSS_POS, 1), ("neg", Tile.CROSS_NEG, -1)):
+        lhs = evaluate_tangle(curled_vertex(tile), plain_ctx)
         expansion = p1.scale(LaurentPoly.q_power(e * (n + 1))) + p2
         out.append(CheckResult(f"gamma-curl-expansion-{label}-n{n}", lhs == expansion))
         defect = lhs - v_alt.scale(LaurentPoly.q_power(e))

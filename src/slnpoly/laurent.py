@@ -33,14 +33,6 @@ class LaurentPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
     def q_power(cls, k: int, coeff: int = 1) -> "LaurentPoly":
         """coeff * q^k for an integer power k."""
         return cls({2 * k: coeff})
@@ -111,7 +103,7 @@ class LaurentPoly:
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
             raise ValueError("negative powers are only defined for monomials; not needed here")
-        result = LaurentPoly.one()
+        result = ONE
         base = self
         while k:
             if k & 1:
@@ -181,8 +173,8 @@ def _term_str(e: int, mag: int) -> str:
 
 
 # Handy module-level constants.
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
+ZERO = LaurentPoly()
+ONE = LaurentPoly({0: 1})
 Q = LaurentPoly.q_power(1)
 QINV = LaurentPoly.q_power(-1)
 

@@ -9,8 +9,10 @@ matrices entry for entry, and is fixed project-wide.
 The diagram vocabulary lives here so that every module reads the same
 tables: the strand orientations Orient, the tiles Tile, and SIGNATURE, the
 orientations each non-id tile needs on its in-legs and makes on its
-out-legs; the widths of a tile are read off its signature.  CROSS_TILE maps
-crossing kinds to crossing tiles.
+out-legs; the widths of a tile are read off its signature.  The crossing
+tiles CROSS_POS, CROSS_NEG and CROSS_SING are the one name of the crossing
+tensors R, Rbar and Q: braid letters, crossing_rows and crossing_matrix all
+take the tile.
 
 A crossing's entries are stated once, by spins, in crossing_rows: the top
 spins (a, b) map to the nonzero (bottom spins (c, d), weight) entries.
@@ -30,12 +32,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
-
-
-class CrossingKind(Enum):
-    POS = "pos"
-    NEG = "neg"
-    SING = "sing"
 
 
 class Orient(Enum):
@@ -83,14 +79,6 @@ SIGNATURE = {
 }
 _WIDTH_IN = {Tile.ID: 1, **{t: len(ins) for t, (ins, _) in SIGNATURE.items()}}
 _WIDTH_OUT = {Tile.ID: 1, **{t: len(outs) for t, (_, outs) in SIGNATURE.items()}}
-
-CROSS_TILE = {
-    CrossingKind.POS: Tile.CROSS_POS,
-    CrossingKind.NEG: Tile.CROSS_NEG,
-    CrossingKind.SING: Tile.CROSS_SING,
-}
-TILE_CROSSING = {tile: kind for kind, tile in CROSS_TILE.items()}
-
 
 def spin_set(n: int) -> tuple[int, ...]:
     """The ascending spin set I_n = (1-n, 3-n, ..., n-1)."""
@@ -169,9 +157,6 @@ class PolyMatrix:
         return PolyMatrix(self.rows, self.cols,
                           {k: p * factor for k, p in self._entries.items()})
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return mat_mul(self, other)
-
     def is_zero(self) -> bool:
         return not self._entries
 
@@ -217,17 +202,17 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
 
 # The weight of a crossing's parallel entry (c, d) = (a, b), by how the top
 # spins compare: (a = b, a < b, a > b).  The flat entry d = a != b = c is 1
-# for every kind.
+# for every crossing.
 _PARALLEL_WEIGHT = {
-    CrossingKind.POS: (Q, Q - QINV, ZERO),
-    CrossingKind.NEG: (QINV, ZERO, QINV - Q),
-    CrossingKind.SING: (Q + QINV, Q, QINV),
+    Tile.CROSS_POS: (Q, Q - QINV, ZERO),
+    Tile.CROSS_NEG: (QINV, ZERO, QINV - Q),
+    Tile.CROSS_SING: (Q + QINV, Q, QINV),
 }
 
 
 @lru_cache(maxsize=None)
-def crossing_rows(kind: CrossingKind, n: int) -> dict:
-    """The nonzero entries of a crossing, by spins: (a, b) -> (((c, d), weight), ...).
+def crossing_rows(tile: Tile, n: int) -> dict:
+    """The nonzero entries of a crossing tile, by spins: (a, b) -> (((c, d), weight), ...).
 
     The top legs carry (a, b) and the bottom legs (c, d):
 
@@ -244,7 +229,7 @@ def crossing_rows(kind: CrossingKind, n: int) -> dict:
 
     and zero everywhere else.
     """
-    eq, lt, gt = _PARALLEL_WEIGHT[kind]
+    eq, lt, gt = _PARALLEL_WEIGHT[tile]
     spins = spin_set(n)
     rows = {}
     for a in spins:
@@ -259,11 +244,11 @@ def crossing_rows(kind: CrossingKind, n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def crossing_matrix(kind: CrossingKind, n: int) -> PolyMatrix:
+def crossing_matrix(tile: Tile, n: int) -> PolyMatrix:
     """The n^2 x n^2 crossing tensor of crossing_rows, rows (a, b), columns (c, d)."""
     return PolyMatrix(n * n, n * n, {
         (flat_index(ins, n), flat_index(outs, n)): w
-        for ins, row in crossing_rows(kind, n).items() for outs, w in row
+        for ins, row in crossing_rows(tile, n).items() for outs, w in row
     })
 
 

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import random
 
-from slnpoly.diagram import BraidWord, Diagram, Tile, close_braid
+from slnpoly.diagram import CROSSINGS, BraidWord, Diagram, Tile, close_braid
 from slnpoly.evaluator import EvalContext
-from slnpoly.laurent import LaurentPoly
+from slnpoly.laurent import ZERO, LaurentPoly
 from slnpoly.spintensor import (
-    TILE_CROSSING,
-    CrossingKind,
     PolyMatrix,
     crossing_matrix,
     kron,
@@ -35,8 +33,8 @@ def tile_matrix(tile: Tile, ctx: EvalContext) -> PolyMatrix:
             (i * n + i, 0): turn_weight(tile, s)
             for i, s in enumerate(spins)
         })
-    if tile in TILE_CROSSING:
-        return crossing_matrix(TILE_CROSSING[tile], n)
+    if tile in CROSSINGS:
+        return crossing_matrix(tile, n)
     # alternating vertex: gamma * (antiparallel identity + turnback pair)
     entries: dict[tuple[int, int], LaurentPoly] = {}
     for i, a in enumerate(spins):
@@ -47,7 +45,7 @@ def tile_matrix(tile: Tile, ctx: EvalContext) -> PolyMatrix:
                 for k, c in enumerate(spins):
                     col = k * n + k
                     add = ctx.gamma * LaurentPoly.half_power(a + c)
-                    entries[(row, col)] = entries.get((row, col), LaurentPoly.zero()) + add
+                    entries[(row, col)] = entries.get((row, col), ZERO) + add
     return PolyMatrix(n * n, n * n, entries)
 
 
@@ -72,9 +70,9 @@ def random_word(rng: random.Random, strands: int, length: int,
                 tau_allowed: bool = True) -> BraidWord:
     if strands < 2:
         return BraidWord(strands)
-    kinds = [CrossingKind.POS, CrossingKind.NEG]
+    kinds = [Tile.CROSS_POS, Tile.CROSS_NEG]
     if tau_allowed:
-        kinds.append(CrossingKind.SING)
+        kinds.append(Tile.CROSS_SING)
     letters = [(rng.choice(kinds), rng.randrange(1, strands)) for _ in range(length)]
     return BraidWord(strands, letters)
 

@@ -40,7 +40,7 @@ from slnpoly.identities import (
     ybe_holds,
 )
 from slnpoly.laurent import LaurentPoly, ONE, Q, QINV, parse_poly, quantum_int
-from slnpoly.spintensor import CrossingKind, PolyMatrix, crossing_matrix
+from slnpoly.spintensor import PolyMatrix, crossing_matrix
 
 D, U = Orient.DOWN, Orient.UP
 
@@ -76,8 +76,8 @@ def test_criterion_3_algebraic_suite():
         ok &= all_passed(check_singular_relations(n))
         ok &= all_passed(check_curl_vertex(n))
     # negative controls: single-entry perturbations must fail
-    r = crossing_matrix(CrossingKind.POS, 2)
-    rbar = crossing_matrix(CrossingKind.NEG, 2)
+    r = crossing_matrix(Tile.CROSS_POS, 2)
+    rbar = crossing_matrix(Tile.CROSS_NEG, 2)
     bad_r = PolyMatrix(4, 4, {**dict(r.items()), (1, 1): ONE})
     bad_rbar = PolyMatrix(4, 4, {**dict(rbar.items()), (0, 0): Q})
     ok &= not ybe_holds(bad_r, 2)

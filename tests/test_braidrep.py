@@ -7,16 +7,16 @@ from slnpoly.braidrep import MAX_REP_SIZE, check_monoid_relations, rho
 from slnpoly.diagram import BraidWord, braid_to_diagram, parse_braid_word
 from slnpoly.evaluator import EvalContext, evaluate_tangle
 from slnpoly.laurent import Q
-from slnpoly.spintensor import CrossingKind, PolyMatrix, crossing_matrix, kron, mat_mul
+from slnpoly.spintensor import PolyMatrix, Tile, crossing_matrix, kron, mat_mul
 
 
 def test_rho_generators():
-    r2 = crossing_matrix(CrossingKind.POS, 2)
+    r2 = crossing_matrix(Tile.CROSS_POS, 2)
     assert rho(parse_braid_word("s1", 2), 2).matrix == r2
     image = rho(parse_braid_word("s1", 3), 2).matrix
     assert image == kron(r2, PolyMatrix.identity(2))
     image = rho(parse_braid_word("t2", 3), 2).matrix
-    assert image == kron(PolyMatrix.identity(2), crossing_matrix(CrossingKind.SING, 2))
+    assert image == kron(PolyMatrix.identity(2), crossing_matrix(Tile.CROSS_SING, 2))
 
 
 def test_rho_empty_word_is_identity():
@@ -29,7 +29,7 @@ def test_rho_inverse_pair():
 
 
 def test_rho_r5_scalar():
-    q2 = crossing_matrix(CrossingKind.SING, 2)
+    q2 = crossing_matrix(Tile.CROSS_SING, 2)
     assert rho(parse_braid_word("t1 s1", 2), 2).matrix == q2.scale(Q)
 
 
@@ -46,7 +46,7 @@ def test_rho_multiplicative():
 
 def test_rho_invertible_without_tau():
     rng = random.Random(5)
-    flip = {CrossingKind.POS: CrossingKind.NEG, CrossingKind.NEG: CrossingKind.POS}
+    flip = {Tile.CROSS_POS: Tile.CROSS_NEG, Tile.CROSS_NEG: Tile.CROSS_POS}
     for _ in range(5):
         k = rng.choice((2, 3))
         w = random_word(rng, k, rng.randrange(1, 5), tau_allowed=False)
@@ -72,8 +72,8 @@ def test_monoid_relation_names():
 def test_corrupted_generator_fails_r5():
     # altering one off-diagonal entry of Q breaks commutation with R
     n = 2
-    q_mat = crossing_matrix(CrossingKind.SING, n)
-    r_mat = crossing_matrix(CrossingKind.POS, n)
+    q_mat = crossing_matrix(Tile.CROSS_SING, n)
+    r_mat = crossing_matrix(Tile.CROSS_POS, n)
     entries = dict(q_mat.items())
     entries[(1, 2)] = Q + Q  # was 1
     corrupt = PolyMatrix(4, 4, entries)

@@ -98,11 +98,24 @@ def test_eval_over_frontier_budget_is_an_error_not_a_traceback(monkeypatch, caps
     assert "Traceback" not in err
 
 
-def test_matrices_output(capsys):
-    code, out, _ = run(capsys, "matrices", "--n", "2", "--which", "Q")
+# The first two rows of each crossing matrix at n = 2.
+MATRIX_HEADS = {
+    "R": ["[q, 0, 0, 0]", "[0, -q^-1 + q, 1, 0]"],
+    "Rbar": ["[q^-1, 0, 0, 0]", "[0, 0, 1, 0]"],
+    "Q": ["[q^-1 + q, 0, 0, 0]", "[0, q, 1, 0]"],
+}
+
+
+@pytest.mark.parametrize("which", MATRIX_HEADS)
+def test_matrices_output(capsys, which):
+    code, out, _ = run(capsys, "matrices", "--n", "2", "--which", which)
     assert code == 0
-    assert out.splitlines()[0] == "[q^-1 + q, 0, 0, 0]"
-    assert out.splitlines()[1] == "[0, q, 1, 0]"
+    assert out.splitlines()[:2] == MATRIX_HEADS[which]
+
+
+def test_public_names_resolve():
+    # `from slnpoly import *` needs every name in __all__ on the package
+    assert [name for name in slnpoly.__all__ if not hasattr(slnpoly, name)] == []
 
 
 def test_verify_all_passes(capsys):

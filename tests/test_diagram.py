@@ -20,16 +20,15 @@ from slnpoly.diagram import (
     validate,
     writhe,
 )
-from slnpoly.spintensor import CrossingKind
 
 D, U = Orient.DOWN, Orient.UP
 
 
 def test_parse_braid_word():
     w = parse_braid_word("s1 s1 s1", 2)
-    assert w.letters == ((CrossingKind.POS, 1),) * 3
+    assert w.letters == ((Tile.CROSS_POS, 1),) * 3
     w = parse_braid_word("s1 S2 t1", 3)
-    assert w.letters == ((CrossingKind.POS, 1), (CrossingKind.NEG, 2), (CrossingKind.SING, 1))
+    assert w.letters == ((Tile.CROSS_POS, 1), (Tile.CROSS_NEG, 2), (Tile.CROSS_SING, 1))
     assert parse_braid_word("", 2).letters == ()
 
 
@@ -204,7 +203,10 @@ def test_braid_word_validation():
     with pytest.raises(ValueError):
         BraidWord(0)
     with pytest.raises(ValueError):
-        BraidWord(2, [(CrossingKind.POS, 2)])
+        BraidWord(2, [(Tile.CROSS_POS, 2)])
+    for letter in ((Tile.ID, 1), (Tile.CUP_RIGHT, 1), ("s", 1)):
+        with pytest.raises(ValueError, match="crossing tiles"):
+            BraidWord(2, [letter])
     u = parse_braid_word("s1", 2)
     v = parse_braid_word("t1", 2)
     assert (u * v).letters == u.letters + v.letters

@@ -32,9 +32,9 @@ from slnpoly.evaluator import (
     oracle_edge_enumeration,
     oracle_rotation_states,
 )
-from slnpoly.laurent import LaurentPoly, ONE, Q, QINV, quantum_int
+from slnpoly.laurent import LaurentPoly, ONE, Q, QINV, ZERO, quantum_int
 from slnpoly.braidrep import rho
-from slnpoly.spintensor import CrossingKind, PolyMatrix, crossing_matrix, spin_set
+from slnpoly.spintensor import PolyMatrix, crossing_matrix, spin_set
 
 D, U = Orient.DOWN, Orient.UP
 I = Tile.ID
@@ -74,7 +74,7 @@ def test_vertex_with_curl_tangle():
     # a positive curl on adjacent legs of a singular vertex scales it by q
     for n in (2, 3):
         ctx = EvalContext(n)
-        q_mat = crossing_matrix(CrossingKind.SING, n)
+        q_mat = crossing_matrix(Tile.CROSS_SING, n)
         d = Diagram([[Tile.CROSS_SING], [Tile.CROSS_POS]], (D, D))
         assert evaluate_tangle(d, ctx) == q_mat.scale(Q)
         d = Diagram([[Tile.CROSS_SING], [Tile.CROSS_NEG]], (D, D))
@@ -113,7 +113,7 @@ def test_zero_result_is_zero_polynomial():
     # tangle entry that is empty: off-diagonal of the identity strand
     d = Diagram([[I]], (D,))
     t = evaluate_tangle(d, EvalContext(2))
-    assert t[0, 1] == LaurentPoly.zero()
+    assert t[0, 1] == ZERO
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -232,8 +232,8 @@ def test_markov_stabilization():
         for _ in range(5):
             w = random_word(rng, 2, rng.randrange(0, 4))
             base = evaluate_closed(close_braid(w), ctx)
-            up = BraidWord(3, w.letters + ((CrossingKind.POS, 2),))
-            down = BraidWord(3, w.letters + ((CrossingKind.NEG, 2),))
+            up = BraidWord(3, w.letters + ((Tile.CROSS_POS, 2),))
+            down = BraidWord(3, w.letters + ((Tile.CROSS_NEG, 2),))
             assert evaluate_closed(close_braid(up), ctx) == LaurentPoly.q_power(n) * base
             assert evaluate_closed(close_braid(down), ctx) == LaurentPoly.q_power(-n) * base
 
@@ -300,7 +300,7 @@ def test_tangle_tensor_indexing():
     # an open positive crossing evaluates to exactly its matrix
     for n in (2, 3):
         d = braid_to_diagram(parse_braid_word("s1", 2))
-        assert evaluate_tangle(d, EvalContext(n)) == crossing_matrix(CrossingKind.POS, n)
+        assert evaluate_tangle(d, EvalContext(n)) == crossing_matrix(Tile.CROSS_POS, n)
 
 
 @pytest.mark.parametrize("n,k,length", [(2, 4, 14), (3, 3, 12), (3, 4, 11), (4, 3, 12), (2, 5, 12)])
@@ -309,7 +309,7 @@ def test_closure_is_weighted_trace_beyond_oracle_caps(n, k, length):
     enhanced Yang-Baxter trace; free of the oracles' size caps."""
     w = random_word(random.Random(f"trace {n} {k} {length}"), k, length)
     mat = rho(w, n).matrix
-    want = LaurentPoly.zero()
+    want = ZERO
     for i, spins in enumerate(itertools.product(spin_set(n), repeat=k)):
         want = want + LaurentPoly.q_power(sum(spins)) * mat[i, i]
     assert evaluate_closed(close_braid(w), EvalContext(n)) == want

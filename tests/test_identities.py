@@ -19,7 +19,7 @@ from slnpoly.identities import (
 from slnpoly.diagram import Diagram, Orient, Tile
 from slnpoly.evaluator import EvalContext, evaluate_tangle
 from slnpoly.laurent import ONE, Q, QINV, LaurentPoly
-from slnpoly.spintensor import CrossingKind, PolyMatrix, crossing_matrix, flat_index
+from slnpoly.spintensor import PolyMatrix, crossing_matrix, flat_index
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -45,15 +45,15 @@ def _perturb(mat: PolyMatrix, key, value) -> PolyMatrix:
 
 def test_ybe_negative_control():
     # replacing the q - q^-1 weight by 1 breaks the Yang-Baxter equation
-    r = crossing_matrix(CrossingKind.POS, 2)
+    r = crossing_matrix(Tile.CROSS_POS, 2)
     bad = _perturb(r, (1, 1), ONE)
     assert ybe_holds(r, 2)
     assert not ybe_holds(bad, 2)
 
 
 def test_unitarity_negative_control():
-    r = crossing_matrix(CrossingKind.POS, 2)
-    rbar = crossing_matrix(CrossingKind.NEG, 2)
+    r = crossing_matrix(Tile.CROSS_POS, 2)
+    rbar = crossing_matrix(Tile.CROSS_NEG, 2)
     bad = _perturb(rbar, (0, 0), Q)
     assert channel_unitarity_holds(r, rbar)
     assert not channel_unitarity_holds(r, bad)
@@ -72,7 +72,7 @@ def test_singular_table_checks_negative_control(monkeypatch, n, ins, outs, faili
 
     def perturbed(kind, m):
         mat = real(kind, m)
-        if kind is not CrossingKind.SING:
+        if kind is not Tile.CROSS_SING:
             return mat
         return _perturb(mat, (flat_index(ins, m), flat_index(outs, m)), ONE)
 
@@ -82,19 +82,19 @@ def test_singular_table_checks_negative_control(monkeypatch, n, ins, outs, faili
     assert {c for c in checks if not passed[f"{c}-n{n}"]} == failing
 
 
-def test_zigzag_negative_control():
-    # flipping the weight sign on one turn tile breaks the wiggle cancellation
-    from slnpoly.laurent import LaurentPoly
-    from slnpoly.spintensor import spin_set, turn_weight
-
-    def flipped_cancel(n):
-        return all(
-            LaurentPoly.half_power(-s) * turn_weight(Tile.CAP_RIGHT, s) == ONE
-            for s in spin_set(n)
-        )
-
-    # cup_right's honest weight is q^(s/2); the flipped q^(-s/2) fails
-    assert not flipped_cancel(2)
+def test_zigzag_negative_control(monkeypatch):
+    # a turn tile weighted q^(-+s/2) in place of q^(+-s/2) breaks the weight
+    # cancellation, and of the unitarity suite fails that check alone
+    real = identities.turn_weight
+    for flipped in (Tile.CUP_RIGHT, Tile.CUP_LEFT, Tile.CAP_LEFT, Tile.CAP_RIGHT):
+        with monkeypatch.context() as patch:
+            patch.setattr(identities, "turn_weight",
+                          lambda tile, spin: real(tile, -spin if tile is flipped else spin))
+            for n in (2, 3):
+                assert not identities.zigzag_weights_cancel(n)
+                failed = [r.name for r in check_unitarity(n) if not r.passed]
+                assert failed == [f"zigzag-weights-n{n}"]
+    assert identities.turn_weight is real
 
 
 def test_curl_vertex_values():
@@ -120,16 +120,16 @@ def test_sideways_gadgets_are_antiparallel_r2_pairs():
     for n in (2, 3):
         ctx = EvalContext(n)
         eye = PolyMatrix.identity(n * n)
-        gadget = sideways_gadget(CrossingKind.POS)
+        gadget = sideways_gadget(Tile.CROSS_POS)
         pair = Diagram(gadget + _reflect(gadget), (d, u))
         assert evaluate_tangle(pair, ctx) == eye
         # same-sign composition is not the identity
-        bad = Diagram(gadget + _reflect(sideways_gadget(CrossingKind.NEG)), (d, u))
+        bad = Diagram(gadget + _reflect(sideways_gadget(Tile.CROSS_NEG)), (d, u))
         assert evaluate_tangle(bad, ctx) != eye
 
 
 def test_reflect_diagram_involution():
-    d = curled_vertex(CrossingKind.POS)
+    d = curled_vertex(Tile.CROSS_POS)
     assert reflect_diagram(reflect_diagram(d)) == d
     with pytest.raises(ValueError):
         reflect_diagram(Diagram([[Tile.VERT_ALT]], (Orient.DOWN, Orient.UP)))
@@ -142,7 +142,7 @@ def test_gamma_defect_structure():
     ctx = EvalContext(n)
     one_ctx = EvalContext(n, ONE)
     v_alt = evaluate_tangle(Diagram([[Tile.VERT_ALT]], (Orient.DOWN, Orient.UP)), one_ctx)
-    lhs = evaluate_tangle(curled_vertex(CrossingKind.POS), ctx)
+    lhs = evaluate_tangle(curled_vertex(Tile.CROSS_POS), ctx)
     defect = lhs - v_alt.scale(Q)
     assert not defect.is_zero()
     assert all(p.eval_at(1, 1) == 0 for _, p in defect.items())
@@ -155,7 +155,7 @@ def test_gamma_r4_mixed_signs_fail():
     d, u = Orient.DOWN, Orient.UP
     top = (d, u, d)
     ctx = EvalContext(2, Q)
-    slide = (_pad(_reflect(sideways_gadget(CrossingKind.NEG)), 1, 0)
+    slide = (_pad(_reflect(sideways_gadget(Tile.CROSS_NEG)), 1, 0)
              + [[Tile.CROSS_POS, Tile.ID]])
     below = Diagram([[Tile.VERT_ALT, Tile.ID]] + slide, top)
     above = Diagram(slide + [[Tile.ID, Tile.VERT_ALT]], top)
@@ -191,9 +191,9 @@ def test_reflected_fixtures_negative_control(monkeypatch, flipped, failing):
 
 
 @pytest.mark.parametrize("kind, mirrored", [
-    (CrossingKind.POS, Tile.CROSS_NEG),
-    (CrossingKind.NEG, Tile.CROSS_POS),
-    (CrossingKind.SING, Tile.CROSS_SING),
+    (Tile.CROSS_POS, Tile.CROSS_NEG),
+    (Tile.CROSS_NEG, Tile.CROSS_POS),
+    (Tile.CROSS_SING, Tile.CROSS_SING),
 ])
 def test_reflected_gadget_is_the_mirror_table(kind, mirrored):
     # the (up, down) -> (down, up) partner of sideways_gadget, written out

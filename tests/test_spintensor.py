@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_laurent import polys
-from slnpoly.diagram import Tile
+from slnpoly.diagram import CROSSINGS, Tile
 from slnpoly.laurent import ONE, Q, QINV, ZERO, LaurentPoly, parse_poly
 from slnpoly.spintensor import (
-    CrossingKind,
     PolyMatrix,
     crossing_matrix,
     kron,
@@ -87,12 +86,12 @@ Q3 = mat_from_rows([
 ])
 
 GOLDEN = {
-    (CrossingKind.POS, 2): R2,
-    (CrossingKind.NEG, 2): RBAR2,
-    (CrossingKind.SING, 2): Q2,
-    (CrossingKind.POS, 3): R3,
-    (CrossingKind.NEG, 3): RBAR3,
-    (CrossingKind.SING, 3): Q3,
+    (Tile.CROSS_POS, 2): R2,
+    (Tile.CROSS_NEG, 2): RBAR2,
+    (Tile.CROSS_SING, 2): Q2,
+    (Tile.CROSS_POS, 3): R3,
+    (Tile.CROSS_NEG, 3): RBAR3,
+    (Tile.CROSS_SING, 3): Q3,
 }
 
 
@@ -117,7 +116,7 @@ def test_golden_matrices(kind, n):
     assert crossing_matrix(kind, n) == GOLDEN[(kind, n)]
 
 
-@pytest.mark.parametrize("kind", list(CrossingKind))
+@pytest.mark.parametrize("kind", CROSSINGS)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_crossing_matrix_is_the_case_table(kind, n):
     # The docstring's case table, entry by entry, over every (a, b, c, d).
@@ -126,16 +125,16 @@ def test_crossing_matrix_is_the_case_table(kind, n):
     entries = {}
     for a, b, c, d in itertools.product(spins, repeat=4):
         if a == b == c == d:
-            value = {CrossingKind.POS: Q, CrossingKind.NEG: QINV,
-                     CrossingKind.SING: Q + QINV}[kind]
+            value = {Tile.CROSS_POS: Q, Tile.CROSS_NEG: QINV,
+                     Tile.CROSS_SING: Q + QINV}[kind]
         elif d == a != b == c:
             value = ONE
         elif c == a < b == d:
-            value = {CrossingKind.POS: Q - QINV, CrossingKind.NEG: ZERO,
-                     CrossingKind.SING: Q}[kind]
+            value = {Tile.CROSS_POS: Q - QINV, Tile.CROSS_NEG: ZERO,
+                     Tile.CROSS_SING: Q}[kind]
         elif c == a > b == d:
-            value = {CrossingKind.POS: ZERO, CrossingKind.NEG: QINV - Q,
-                     CrossingKind.SING: QINV}[kind]
+            value = {Tile.CROSS_POS: ZERO, Tile.CROSS_NEG: QINV - Q,
+                     Tile.CROSS_SING: QINV}[kind]
         else:
             continue
         if value:
@@ -146,7 +145,7 @@ def test_crossing_matrix_is_the_case_table(kind, n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_conservation_law(n):
     spins = spin_set(n)
-    for kind in CrossingKind:
+    for kind in CROSSINGS:
         for (r, c), _ in crossing_matrix(kind, n).items():
             a, b = spins[r // n], spins[r % n]
             cc, d = spins[c // n], spins[c % n]
@@ -259,4 +258,4 @@ def test_matrix_rejects_entries_that_are_not_polynomials():
 
 def test_builders_reject_small_n():
     with pytest.raises(ValueError):
-        crossing_matrix(CrossingKind.POS, 1)
+        crossing_matrix(Tile.CROSS_POS, 1)
