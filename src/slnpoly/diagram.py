@@ -130,11 +130,6 @@ class BraidWord:
         object.__setattr__(self, "strands", strands)
         object.__setattr__(self, "letters", letters)
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.strands != other.strands:
-            raise ValueError("cannot concatenate words on different strand counts")
-        return BraidWord(self.strands, self.letters + other.letters)
-
 
 _TOKEN_RE = re.compile(r"^([sSt])(\d+)$")
 

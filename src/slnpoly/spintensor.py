@@ -139,9 +139,6 @@ class PolyMatrix:
         return (self.rows, self.cols) == (other.rows, other.cols) \
             and self._entries == other._entries
 
-    def __hash__(self):
-        raise TypeError("PolyMatrix is not hashable")
-
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
@@ -156,9 +153,6 @@ class PolyMatrix:
     def scale(self, factor: LaurentPoly | int) -> "PolyMatrix":
         return PolyMatrix(self.rows, self.cols,
                           {k: p * factor for k, p in self._entries.items()})
-
-    def is_zero(self) -> bool:
-        return not self._entries
 
     def __str__(self) -> str:
         lines = []
@@ -227,8 +221,10 @@ def crossing_rows(tile: Tile, n: int) -> dict:
                  q^-1      if c = a > b = d
                  1         if d = a != b = c
 
-    and zero everywhere else.
+    and zero everywhere else.  A tile that is not a crossing is a ValueError.
     """
+    if tile not in _PARALLEL_WEIGHT:
+        raise ValueError(f"{tile!r} is not a crossing tile")
     eq, lt, gt = _PARALLEL_WEIGHT[tile]
     spins = spin_set(n)
     rows = {}

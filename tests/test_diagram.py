@@ -207,6 +207,3 @@ def test_braid_word_validation():
     for letter in ((Tile.ID, 1), (Tile.CUP_RIGHT, 1), ("s", 1)):
         with pytest.raises(ValueError, match="crossing tiles"):
             BraidWord(2, [letter])
-    u = parse_braid_word("s1", 2)
-    v = parse_braid_word("t1", 2)
-    assert (u * v).letters == u.letters + v.letters

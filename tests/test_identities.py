@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from slnpoly import identities
@@ -18,8 +20,14 @@ from slnpoly.identities import (
 )
 from slnpoly.diagram import Diagram, Orient, Tile
 from slnpoly.evaluator import EvalContext, evaluate_tangle
-from slnpoly.laurent import ONE, Q, QINV, LaurentPoly
-from slnpoly.spintensor import PolyMatrix, crossing_matrix, flat_index
+from slnpoly.laurent import ONE, Q, QINV, ZERO, LaurentPoly
+from slnpoly.spintensor import (
+    PolyMatrix,
+    crossing_matrix,
+    crossing_rows,
+    flat_index,
+    spin_set,
+)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -57,8 +65,56 @@ def test_unitarity_negative_control():
     bad = _perturb(rbar, (0, 0), Q)
     assert channel_unitarity_holds(r, rbar)
     assert not channel_unitarity_holds(r, bad)
-    assert cross_channel_unitarity_holds(r, rbar, 2)
-    assert not cross_channel_unitarity_holds(r, bad, 2)
+    r_rows = crossing_rows(Tile.CROSS_POS, 2)
+    rbar_rows = crossing_rows(Tile.CROSS_NEG, 2)
+    bad_rows = {**rbar_rows, (-1, -1): (((-1, -1), Q),)}
+    assert cross_channel_unitarity_holds(r_rows, rbar_rows, 2)
+    assert not cross_channel_unitarity_holds(r_rows, bad_rows, 2)
+
+
+def _dense_cross_channel_unitarity(r_rows, rbar_rows, n) -> bool:
+    """The reference: every (a, b, c, d, i, j) term over flattened matrices."""
+    def matrix(rows):
+        return PolyMatrix(n * n, n * n, {
+            (flat_index(ins, n), flat_index(outs, n)): w
+            for ins, row in rows.items() for outs, w in row
+        })
+
+    r, rbar = matrix(r_rows), matrix(rbar_rows)
+    spins = spin_set(n)
+    for a, b, c, d in itertools.product(spins, repeat=4):
+        total = ZERO
+        for i, j in itertools.product(spins, repeat=2):
+            w = LaurentPoly.half_power(b + d - 2 * i)
+            total = total + (w * rbar[flat_index((i, a), n), flat_index((j, b), n)]
+                             * r[flat_index((j, d), n), flat_index((i, c), n)])
+        if total != (ONE if (a == c and d == b) else ZERO):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cross_channel_unitarity_matches_the_dense_loop(n):
+    r_rows = crossing_rows(Tile.CROSS_POS, n)
+    rbar_rows = crossing_rows(Tile.CROSS_NEG, n)
+    assert cross_channel_unitarity_holds(r_rows, rbar_rows, n)
+    assert _dense_cross_channel_unitarity(r_rows, rbar_rows, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cross_channel_unitarity_matches_the_dense_loop_on_substitutions(n):
+    # each weight of Rbar's rows in turn replaced by q, or by 1 where it is q
+    r_rows = crossing_rows(Tile.CROSS_POS, n)
+    rbar_rows = crossing_rows(Tile.CROSS_NEG, n)
+    verdicts = []
+    for ins, row in rbar_rows.items():
+        for k, (outs, w) in enumerate(row):
+            entry = (outs, ONE if w == Q else Q)
+            bad = {**rbar_rows, ins: row[:k] + (entry,) + row[k + 1:]}
+            verdict = cross_channel_unitarity_holds(r_rows, bad, n)
+            assert verdict == _dense_cross_channel_unitarity(r_rows, bad, n)
+            verdicts.append(verdict)
+    assert False in verdicts
 
 
 @pytest.mark.parametrize("n, ins, outs, failing", [
@@ -68,15 +124,15 @@ def test_unitarity_negative_control():
     (3, (-2, 2), (0, 0), {"Q-support"}),
 ])
 def test_singular_table_checks_negative_control(monkeypatch, n, ins, outs, failing):
-    real = identities.crossing_matrix
+    real = identities.crossing_rows
 
-    def perturbed(kind, m):
-        mat = real(kind, m)
-        if kind is not Tile.CROSS_SING:
-            return mat
-        return _perturb(mat, (flat_index(ins, m), flat_index(outs, m)), ONE)
+    def perturbed(tile, m):
+        rows = real(tile, m)
+        if tile is not Tile.CROSS_SING:
+            return rows
+        return {**rows, ins: rows[ins] + ((outs, ONE),)}
 
-    monkeypatch.setattr(identities, "crossing_matrix", perturbed)
+    monkeypatch.setattr(identities, "crossing_rows", perturbed)
     passed = {r.name: r.passed for r in check_singular_relations(n)}
     checks = ("conservation-law", "Q-support")
     assert {c for c in checks if not passed[f"{c}-n{n}"]} == failing
@@ -144,7 +200,7 @@ def test_gamma_defect_structure():
     v_alt = evaluate_tangle(Diagram([[Tile.VERT_ALT]], (Orient.DOWN, Orient.UP)), one_ctx)
     lhs = evaluate_tangle(curled_vertex(Tile.CROSS_POS), ctx)
     defect = lhs - v_alt.scale(Q)
-    assert not defect.is_zero()
+    assert defect
     assert all(p.eval_at(1, 1) == 0 for _, p in defect.items())
 
 

@@ -9,6 +9,7 @@ from slnpoly.laurent import ONE, Q, QINV, ZERO, LaurentPoly, parse_poly
 from slnpoly.spintensor import (
     PolyMatrix,
     crossing_matrix,
+    crossing_rows,
     kron,
     mat_mul,
     spin_set,
@@ -239,6 +240,8 @@ def test_matrix_index_errors():
         R2[4, 0]
     with pytest.raises(IndexError):
         PolyMatrix(2, 2, {(2, 0): ONE})
+    with pytest.raises(TypeError):
+        hash(R2)
 
 
 def test_matrix_rejects_negative_dimensions_and_mismatched_sums():
@@ -259,3 +262,10 @@ def test_matrix_rejects_entries_that_are_not_polynomials():
 def test_builders_reject_small_n():
     with pytest.raises(ValueError):
         crossing_matrix(Tile.CROSS_POS, 1)
+
+
+@pytest.mark.parametrize("tile", [t for t in Tile if t not in CROSSINGS])
+def test_builders_reject_tiles_that_are_not_crossings(tile):
+    for build in (crossing_rows, crossing_matrix):
+        with pytest.raises(ValueError, match=f"{tile!r} is not a crossing tile"):
+            build(tile, 2)
