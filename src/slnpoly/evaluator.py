@@ -6,9 +6,9 @@ polynomial amplitudes.  It contracts one tile at a time, right to left
 within a slice so that the positions of the tiles still to come stay valid,
 and rewrites only the legs that tile touches; an id tile carries the
 identity delta and is skipped.  Every other tile is read from one row
-table, built once per (tile, context) and shared by the sweep and the
-edge-enumeration oracle; it maps in-spins to the nonzero (out-spins,
-weight) entries:
+table, _tile_rows, which the sweep builds once per evaluation and the
+edge-enumeration oracle reads too; it maps in-spins to the nonzero
+(out-spins, weight) entries:
 
   cups/caps  the diagonal weights q^(+-a/2) together with the spin pairing,
   crossings  the entries of the R / Rbar / Q tensors,
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import eq, gt, lt, ne
 
 from .diagram import CAPS, CROSSINGS, CUPS, Diagram, DiagramError, Tile, require_valid, writhe
@@ -72,9 +71,8 @@ TURN_ROT = {
 }
 
 
-@lru_cache
 def _tile_rows(tile: Tile, ctx: EvalContext) -> dict:
-    """The nonzero entries of a non-id tile: in-spins -> ((out_spins, weight), ...)."""
+    """A fresh table of a non-id tile's entries: in-spins -> ((out_spins, weight), ...)."""
     n = ctx.n
     if tile in CROSSINGS:
         return crossing_rows(tile, n)
@@ -114,6 +112,7 @@ def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
     if n > MAX_FRONTIER and any(t in CUPS for _, _, t in d.tiles()):
         raise ValueError(f"a cup makes {n} frontier entries, "
                          f"over the limit of {MAX_FRONTIER}")
+    tables = {t: _tile_rows(t, ctx) for t in {t for _, _, t in d.tiles()} - {Tile.ID}}
     # Frontier keyed by (top assignment, current level assignment).
     frontier: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {
         (t, t): ONE for t in itertools.product(spin_set(n), repeat=d.top_width)
@@ -125,7 +124,7 @@ def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
             if tile is Tile.ID:
                 continue
             end = pos + tile.width_in
-            rows = _tile_rows(tile, ctx)
+            rows = tables[tile]
             new: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {}
             for (top, cur), amp in frontier.items():
                 for outs, w in rows.get(cur[pos:end], ()):

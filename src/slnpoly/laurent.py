@@ -189,7 +189,7 @@ def quantum_int(m: int) -> LaurentPoly:
 _POWER = r"q(?:\^(?:\((?P<half{0}>-?\d+)/2\)|(?P<int{0}>-?\d+)))?"
 _TERM_RE = re.compile(
     r"\s*(?P<sign>[+-])?\s*(?:"
-    r"(?P<coeff>\d+)\s*(?:\*\s*)?(?:" + _POWER.format("1") + r")?"
+    r"(?P<coeff>\d+)(?:\s*\*?\s*" + _POWER.format("1") + r")?"
     r"|" + _POWER.format("2") + r")"
 )
 

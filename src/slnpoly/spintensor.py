@@ -28,7 +28,6 @@ LaurentPoly.sum_of_products, with no polynomial built per term or partial sum.
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
@@ -204,7 +203,6 @@ _PARALLEL_WEIGHT = {
 }
 
 
-@lru_cache(maxsize=None)
 def crossing_rows(tile: Tile, n: int) -> dict:
     """The nonzero entries of a crossing tile, by spins: (a, b) -> (((c, d), weight), ...).
 
@@ -239,7 +237,6 @@ def crossing_rows(tile: Tile, n: int) -> dict:
     return rows
 
 
-@lru_cache(maxsize=None)
 def crossing_matrix(tile: Tile, n: int) -> PolyMatrix:
     """The n^2 x n^2 crossing tensor of crossing_rows, rows (a, b), columns (c, d)."""
     return PolyMatrix(n * n, n * n, {

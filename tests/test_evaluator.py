@@ -170,6 +170,17 @@ def test_frontier_budget_refuses_a_cup_wider_than_the_limit(monkeypatch):
         evaluate_closed(close_braid(BraidWord(1)), EvalContext(4))
 
 
+def test_frontier_budget_refuses_before_any_tile_table_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(evaluator, "MAX_FRONTIER", 3)
+    monkeypatch.setattr(evaluator, "_tile_rows", lambda tile, ctx: built.append(tile))
+    with pytest.raises(ValueError, match=r"^a cup makes 4 frontier entries"):
+        evaluate_closed(close_braid(BraidWord(1)), EvalContext(4))
+    with pytest.raises(ValueError, match=r"^the top boundary has 64 spin states"):
+        evaluate_tangle(braid_to_diagram(parse_braid_word("s1 s2", 3)), EvalContext(4))
+    assert built == []
+
+
 def test_oracles_on_corpus_small():
     for name, d in corpus_diagrams()[:8]:
         ctx = EvalContext(2)

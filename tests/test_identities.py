@@ -1,9 +1,11 @@
+import inspect
 import itertools
 
 import pytest
 
-from slnpoly import identities
+from slnpoly import braidrep, identities, spintensor
 from slnpoly.identities import (
+    SUITES,
     all_passed,
     channel_unitarity_holds,
     check_curl_vertex,
@@ -234,16 +236,11 @@ def test_reflected_fixtures_negative_control(monkeypatch, flipped, failing):
     def flipped_weight(tile, spin):
         return real(tile, -spin if tile is flipped else spin)
 
-    evaluator._tile_rows.cache_clear()
     monkeypatch.setattr(evaluator, "turn_weight", flipped_weight)
-    try:
-        for n in (2, 3):
-            failed = {r.name.removesuffix(f"-n{n}")
-                      for r in check_unitarity(n) if not r.passed}
-            assert failed == failing
-    finally:
-        monkeypatch.undo()
-        evaluator._tile_rows.cache_clear()
+    for n in (2, 3):
+        failed = {r.name.removesuffix(f"-n{n}")
+                  for r in check_unitarity(n) if not r.passed}
+        assert failed == failing
 
 
 @pytest.mark.parametrize("kind, mirrored", [
@@ -262,3 +259,60 @@ def test_reflected_gadget_is_the_mirror_table(kind, mirrored):
     d, u = Orient.DOWN, Orient.UP
     reflected = reflect_diagram(Diagram(sideways_gadget(kind), (d, u)))
     assert reflected == Diagram(table, (u, d))
+
+
+# Every value a crossing entry takes, for the single-entry substitutions.
+_WEIGHT_VALUES = (ZERO, ONE, -ONE, Q, QINV, Q - QINV, QINV - Q, Q + QINV)
+
+# The checks that no model mutant fails, and why.
+_NEVER_FAILED = {
+    "conservation-law": "tests support, which a weight change keeps",
+    "Q-support": "tests support, which a weight change keeps",
+    "gamma-curl-defect-symbolic-pos": "asserts a nonzero defect",
+    "gamma-curl-defect-symbolic-neg": "asserts a nonzero defect",
+}
+
+
+def _model_mutants():
+    """The 63 single-entry substitutions of the crossing weights and the 4
+    turn-sign flips, as (label, table, key, value) patches."""
+    for tile, weights in spintensor._PARALLEL_WEIGHT.items():
+        for slot, real in enumerate(weights):
+            for value in _WEIGHT_VALUES:
+                if value != real:
+                    changed = weights[:slot] + (value,) + weights[slot + 1:]
+                    yield (f"{tile.value}[{slot}] = {value}",
+                           spintensor._PARALLEL_WEIGHT, tile, changed)
+    for tile, sign in spintensor._TURN_SIGN.items():
+        yield f"{tile.value} sign flipped", spintensor._TURN_SIGN, tile, -sign
+
+
+def _verify_all(n):
+    """Every verify check at n, with gamma = q and 3 strands: name -> passed."""
+    options = {"gamma": Q, "strands": 3}
+    results = {}
+    for suite in SUITES.values():
+        params = list(inspect.signature(suite).parameters)[1:]
+        for r in suite(n, **{p: options[p] for p in params}):
+            results[r.name.removesuffix(f"-n{n}")] = r.passed
+    return results
+
+
+def test_every_model_mutant_fails_a_check_and_every_check_catches_one(monkeypatch):
+    # the model tables are read afresh by every call, so a patched table
+    # reaches every suite once rho's cached generator images are dropped
+    mutants = list(_model_mutants())
+    assert len(mutants) == 67
+    caught, missed = set(), []
+    for label, table, key, value in mutants:
+        with monkeypatch.context() as patch:
+            patch.setitem(table, key, value)
+            braidrep._generator_image.cache_clear()
+            failed = {name for n in (2, 3)
+                      for name, passed in _verify_all(n).items() if not passed}
+        braidrep._generator_image.cache_clear()
+        if not failed:
+            missed.append(label)
+        caught |= failed
+    assert missed == []
+    assert set(_verify_all(2)) - caught == set(_NEVER_FAILED)

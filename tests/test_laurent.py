@@ -134,7 +134,7 @@ def test_parse_roundtrip(p):
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "q^", "q +", "2q^", "x + 1", "q^(1/3)"):
+    for text in ("", "q^", "q +", "2q^", "x + 1", "q^(1/3)", "2*", "2 *", "1 + 2*"):
         with pytest.raises(ValueError):
             parse_poly(text)
 

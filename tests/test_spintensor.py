@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from test_laurent import polys
 from slnpoly.diagram import CROSSINGS, Tile
+from slnpoly.identities import check_unitarity
 from slnpoly.laurent import ONE, Q, QINV, ZERO, LaurentPoly, parse_poly
 from slnpoly.spintensor import (
     PolyMatrix,
@@ -269,3 +270,11 @@ def test_builders_reject_tiles_that_are_not_crossings(tile):
     for build in (crossing_rows, crossing_matrix):
         with pytest.raises(ValueError, match=f"{tile!r} is not a crossing tile"):
             build(tile, 2)
+
+
+def test_a_write_into_a_returned_table_reaches_no_later_reader():
+    before = crossing_matrix(Tile.CROSS_NEG, 2)
+    crossing_rows(Tile.CROSS_NEG, 2)[(-1, -1)] = (((-1, -1), Q),)
+    assert crossing_rows(Tile.CROSS_NEG, 2)[(-1, -1)] == (((-1, -1), QINV),)
+    assert crossing_matrix(Tile.CROSS_NEG, 2) == before == RBAR2
+    assert all(r.passed for r in check_unitarity(2))
