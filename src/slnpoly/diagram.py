@@ -21,11 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .spintensor import SIGNATURE, Orient, Tile
-
-CUPS = (Tile.CUP_RIGHT, Tile.CUP_LEFT)
-CAPS = (Tile.CAP_RIGHT, Tile.CAP_LEFT)
-CROSSINGS = (Tile.CROSS_POS, Tile.CROSS_NEG, Tile.CROSS_SING)
+from .spintensor import CAPS, CROSSINGS, CUPS, SIGNATURE, Orient, Tile
 
 
 class DiagramError(ValueError):

@@ -5,22 +5,18 @@ bottom keeping a sparse map from spin tuples on the current level to
 polynomial amplitudes.  It contracts one tile at a time, right to left
 within a slice so that the positions of the tiles still to come stay valid,
 and rewrites only the legs that tile touches; an id tile carries the
-identity delta and is skipped.  Every other tile is read from one row
-table, _tile_rows, which the sweep builds once per evaluation and the
-edge-enumeration oracle reads too; it maps in-spins to the nonzero
-(out-spins, weight) entries:
+identity delta and is skipped.  Every other tile is read from its
+spintensor.tile_rows table, which maps in-spins to the nonzero
+(out-spins, weight) entries; the sweep builds one table per distinct tile
+in each evaluation.
 
-  cups/caps  the diagonal weights q^(+-a/2) together with the spin pairing,
-  crossings  the entries of the R / Rbar / Q tensors,
-  vert_alt   gamma * (antiparallel identity) + gamma * (turnback pair),
-             i.e. entries gamma*(d_ac d_bd + q^((a+c)/2) d_ab d_cd).
-
-Closed diagrams give a 1x1 tensor.  Two independent oracles recompute the
-same values literally from the state-model definition: one enumerates spin
-assignments on diagram edges and multiplies elementary tensor entries, the
-other enumerates crossing resolutions, traces loops, and sums weighted
-rotation contributions q^(rot * label).  Both are deliberately structured
-nothing like the frontier sweep.
+Closed diagrams give a 1x1 tensor.  Two oracles recompute the same values
+from the state-model definition.  The edge-enumeration oracle assigns spins
+to diagram edges and multiplies the same tile_rows entries, so it checks
+the contraction alone.  The rotation-state oracle states the model on its
+own: it enumerates the resolutions of every crossing and rigid vertex,
+traces loops, and sums weighted rotation contributions q^(rot * label).
+Both are deliberately structured nothing like the frontier sweep.
 """
 
 from __future__ import annotations
@@ -29,15 +25,9 @@ import itertools
 from dataclasses import dataclass
 from operator import eq, gt, lt, ne
 
-from .diagram import CAPS, CROSSINGS, CUPS, Diagram, DiagramError, Tile, require_valid, writhe
+from .diagram import Diagram, DiagramError, require_valid, writhe
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly
-from .spintensor import (
-    PolyMatrix,
-    crossing_rows,
-    flat_index,
-    spin_set,
-    turn_weight,
-)
+from .spintensor import CAPS, CUPS, PolyMatrix, Tile, flat_index, spin_set, tile_rows
 
 
 @dataclass(frozen=True)
@@ -71,29 +61,6 @@ TURN_ROT = {
 }
 
 
-def _tile_rows(tile: Tile, ctx: EvalContext) -> dict:
-    """A fresh table of a non-id tile's entries: in-spins -> ((out_spins, weight), ...)."""
-    n = ctx.n
-    if tile in CROSSINGS:
-        return crossing_rows(tile, n)
-    spins = spin_set(n)
-    rows: dict[tuple[int, ...], list[tuple[tuple[int, ...], LaurentPoly]]] = {}
-    if tile in CUPS:
-        rows[()] = [((a, a), turn_weight(tile, a)) for a in spins]
-    elif tile in CAPS:
-        for a in spins:
-            rows[(a, a)] = [((), turn_weight(tile, a))]
-    else:
-        g = ctx.gamma
-        for a, b in itertools.product(spins, repeat=2):
-            if a != b:
-                rows[(a, b)] = [((a, b), g)]
-            else:
-                rows[(a, a)] = [((c, c), g * LaurentPoly.half_power(a + c) + g * (c == a))
-                                for c in spins]
-    return {ins: tuple(row) for ins, row in rows.items()}
-
-
 def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
     """The boundary tensor of an open tangle, rows = top spins, cols = bottom.
 
@@ -112,7 +79,7 @@ def evaluate_tangle(d: Diagram, ctx: EvalContext) -> PolyMatrix:
     if n > MAX_FRONTIER and any(t in CUPS for _, _, t in d.tiles()):
         raise ValueError(f"a cup makes {n} frontier entries, "
                          f"over the limit of {MAX_FRONTIER}")
-    tables = {t: _tile_rows(t, ctx) for t in {t for _, _, t in d.tiles()} - {Tile.ID}}
+    tables = {t: tile_rows(t, n, ctx.gamma) for t in {t for _, _, t in d.tiles()} - {Tile.ID}}
     # Frontier keyed by (top assignment, current level assignment).
     frontier: dict[tuple[tuple[int, ...], tuple[int, ...]], LaurentPoly] = {
         (t, t): ONE for t in itertools.product(spin_set(n), repeat=d.top_width)
@@ -192,11 +159,6 @@ class _UnionFind:
             self.parent[ra] = rb
 
 
-def _full_entries(tile: Tile, ctx: EvalContext):
-    """All nonzero entries of a tile as (in_spins + out_spins, weight)."""
-    return [(ins + outs, w) for ins, row in _tile_rows(tile, ctx).items() for outs, w in row]
-
-
 def oracle_edge_enumeration(d: Diagram, ctx: EvalContext, edge_cap: int = 16) -> LaurentPoly:
     """Literal state sum: assign a spin to every edge, multiply tensor entries.
 
@@ -217,10 +179,11 @@ def oracle_edge_enumeration(d: Diagram, ctx: EvalContext, edge_cap: int = 16) ->
     edges = {uf.find(slot) for _, legs in nodes for slot in legs}
     if len(edges) > edge_cap:
         raise OracleSizeError(f"{len(edges)} edges exceeds the cap of {edge_cap}")
-    node_entries = [
-        (tuple(uf.find(slot) for slot in legs), _full_entries(t, ctx))
-        for t, legs in nodes
-    ]
+    # Each distinct tile's entries as (in_spins + out_spins, weight).
+    tables = {t: [(ins + outs, w) for ins, row in tile_rows(t, ctx.n, ctx.gamma).items()
+                   for outs, w in row]
+               for t in {t for t, _ in nodes}}
+    node_entries = [(tuple(uf.find(slot) for slot in legs), tables[t]) for t, legs in nodes]
 
     total = ZERO
     assignment: dict = {}
@@ -251,10 +214,12 @@ def oracle_edge_enumeration(d: Diagram, ctx: EvalContext, edge_cap: int = 16) ->
     return total
 
 
-# -- oracle 2: enumerate crossing resolutions and trace loops -----------------
+# -- oracle 2: enumerate crossing and vertex resolutions and trace loops ------
 
-# Resolutions: (wiring, relation between the two strand spins, weight).
-# "par" keeps in1->out1, in2->out2; "cross" exchanges them.
+# Resolutions: (wiring, relation between the two in-leg spins or None,
+# weight).  "par" keeps in1->out1, in2->out2; "cross" exchanges them;
+# "turnback" joins the in-legs as a cap_left and the out-legs as a cup_right
+# would.  The rigid vertex's two resolutions weigh "gamma", the vertex weight.
 _RESOLUTIONS = {
     Tile.CROSS_POS: (("par", lt, Q - QINV), ("par", eq, Q), ("cross", ne, ONE)),
     Tile.CROSS_NEG: (("par", gt, QINV - Q), ("par", eq, QINV), ("cross", ne, ONE)),
@@ -264,58 +229,64 @@ _RESOLUTIONS = {
         ("par", eq, Q + QINV),
         ("cross", ne, ONE),
     ),
+    Tile.VERT_ALT: (("par", None, "gamma"), ("turnback", None, "gamma")),
 }
 
 
 def oracle_rotation_states(d: Diagram, ctx: EvalContext, crossing_cap: int = 10) -> LaurentPoly:
     """Resolution-state oracle: sum of a_sigma * q^(rot . label) over states.
 
-    Every crossing is replaced by a decorated splice or a flat crossing,
-    loops of the resolved diagram are traced, and each consistent constant
-    spin labeling contributes its weight times q^(sum rot(l)*label(l)) with
-    rot computed as half the signed turn count along the loop.
+    Every crossing is replaced by a decorated splice or a flat crossing, and
+    every rigid vertex by its oriented smoothing or its turnback, each
+    weighted by gamma.  Loops of the resolved diagram are traced, and each
+    consistent constant spin labeling contributes its weight times
+    q^(sum rot(l)*label(l)) with rot computed as half the signed turn count
+    along the loop.  crossing_cap bounds the crossings and vertices together.
     """
     if not d.is_closed():
         raise DiagramError("the rotation-state oracle requires a closed diagram")
     require_valid(d)
     instances = _tile_instances(d)
-    if any(t is Tile.VERT_ALT for t, _, _ in instances):
-        raise DiagramError("the rotation-state oracle does not handle alternating vertices")
-    crossings = [(t, ins, outs) for t, ins, outs in instances if t in CROSSINGS]
-    if len(crossings) > crossing_cap:
-        raise OracleSizeError(f"{len(crossings)} crossings exceeds the cap of {crossing_cap}")
+    resolved = [(t, ins, outs) for t, ins, outs in instances if t in _RESOLUTIONS]
+    if len(resolved) > crossing_cap:
+        raise OracleSizeError(f"{len(resolved)} crossings and vertices exceeds "
+                              f"the cap of {crossing_cap}")
 
     spins = spin_set(ctx.n)
     total = ZERO
-    for combo in itertools.product(*(_RESOLUTIONS[t] for t, _, _ in crossings)):
+    for combo in itertools.product(*(_RESOLUTIONS[t] for t, _, _ in resolved)):
         uf = _UnionFind()
+        turns = []  # (a slot on the turn, its TURN_ROT)
         for t, ins, outs in instances:
             if t is Tile.ID:
                 uf.union(ins[0], outs[0])
             elif t in CUPS:
                 uf.union(outs[0], outs[1])
+                turns.append((outs[0], TURN_ROT[t]))
             elif t in CAPS:
                 uf.union(ins[0], ins[1])
+                turns.append((ins[0], TURN_ROT[t]))
         weight = ONE
         constraints = []
-        for (wiring, rel, w), (_, ins, outs) in zip(combo, crossings):
-            weight = weight * w
+        for (wiring, rel, w), (_, ins, outs) in zip(combo, resolved):
+            weight = weight * (ctx.gamma if w == "gamma" else w)
             if wiring == "par":
                 uf.union(ins[0], outs[0])
                 uf.union(ins[1], outs[1])
-            else:
+            elif wiring == "cross":
                 uf.union(ins[0], outs[1])
                 uf.union(ins[1], outs[0])
-            constraints.append((ins[0], ins[1], rel))
+            else:
+                uf.union(ins[0], ins[1])
+                uf.union(outs[0], outs[1])
+                turns += [(ins[0], TURN_ROT[Tile.CAP_LEFT]), (outs[0], TURN_ROT[Tile.CUP_RIGHT])]
+            if rel:
+                constraints.append((ins[0], ins[1], rel))
 
         rot2: dict = {}
-        for t, ins, outs in instances:
-            if t in CUPS:
-                loop = uf.find(outs[0])
-                rot2[loop] = rot2.get(loop, 0) + TURN_ROT[t]
-            elif t in CAPS:
-                loop = uf.find(ins[0])
-                rot2[loop] = rot2.get(loop, 0) + TURN_ROT[t]
+        for slot, r in turns:
+            loop = uf.find(slot)
+            rot2[loop] = rot2.get(loop, 0) + r
         loops = sorted({uf.find(s) for t, ins, outs in instances for s in ins + outs})
         rot = {}
         for loop in loops:

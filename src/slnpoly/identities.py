@@ -5,7 +5,7 @@ pass is a proof at that n.  Checks come in two layers: small predicate
 helpers that take explicit inputs (so tests can feed perturbed inputs as
 negative controls), and check_* suite functions that assemble CheckResult
 reports from the real model data.  The predicates take PolyMatrix values,
-except cross-channel unitarity, which reads crossing_rows tables by spins.
+except cross-channel unitarity, which reads tile_rows tables by spins.
 
 Several identities live in mixed-orientation frames where a crossing or a
 singular vertex sits between antiparallel strands.  Those are built from
@@ -18,16 +18,17 @@ identity, which pins the handedness bookkeeping.
 from __future__ import annotations
 
 from .braidrep import CheckResult, check_monoid_relations
-from .diagram import CROSSINGS, MIRROR_TILE, Diagram, Orient, Tile
+from .diagram import MIRROR_TILE, Diagram, Orient, Tile
 from .evaluator import EvalContext, evaluate_tangle
 from .laurent import ONE, Q, QINV, ZERO, LaurentPoly, quantum_int
 from .spintensor import (
+    CROSSINGS,
     PolyMatrix,
     crossing_matrix,
-    crossing_rows,
     kron,
     mat_mul,
     spin_set,
+    tile_rows,
     turn_weight,
 )
 
@@ -58,7 +59,7 @@ def cross_channel_unitarity_holds(r_rows: dict, rbar_rows: dict, n: int) -> bool
 
     The weight factor is the contribution of the cup and cap that carry the
     wrapped strand in the sideways picture; without it the bare contraction
-    is not a delta.  R and Rbar are crossing_rows tables, and the sum runs
+    is not a delta.  R and Rbar are tile_rows tables, and the sum runs
     over Rbar's nonzero entries, every d, and the entries of R's row (j, d)
     whose out-spins start with i: O(n^3) products.
     """
@@ -216,7 +217,7 @@ def check_unitarity(n: int) -> list[CheckResult]:
     out = [
         CheckResult(f"channel-unitarity-n{n}", channel_unitarity_holds(r, rbar)),
         CheckResult(f"cross-channel-unitarity-n{n}", cross_channel_unitarity_holds(
-            crossing_rows(Tile.CROSS_POS, n), crossing_rows(Tile.CROSS_NEG, n), n)),
+            tile_rows(Tile.CROSS_POS, n), tile_rows(Tile.CROSS_NEG, n), n)),
         CheckResult(f"zigzag-weights-n{n}", zigzag_weights_cancel(n)),
     ]
     # The four S-shaped planar wiggles must evaluate to the identity strand.
@@ -260,7 +261,7 @@ def check_singular_relations(n: int) -> list[CheckResult]:
     support_ok = True
     conservation_ok = True
     for tile in CROSSINGS:
-        for (a, b), row in crossing_rows(tile, n).items():
+        for (a, b), row in tile_rows(tile, n).items():
             for (c, d), _ in row:
                 if a + b != c + d:
                     conservation_ok = False

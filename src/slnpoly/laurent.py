@@ -27,20 +27,19 @@ class LaurentPoly:
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
         """Drop zero coefficients; a non-integral exponent raises TypeError."""
-        object.__setattr__(self, "_coeffs", {
-            operator.index(e): c for e, c in (coeffs or {}).items() if c})
+        self._coeffs = {operator.index(e): c for e, c in (coeffs or {}).items() if c}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def q_power(cls, k: int, coeff: int = 1) -> "LaurentPoly":
-        """coeff * q^k for an integer power k."""
-        return cls({2 * k: coeff})
+    def q_power(cls, k: int) -> "LaurentPoly":
+        """q^k for an integer power k."""
+        return cls({2 * k: 1})
 
     @classmethod
-    def half_power(cls, e: int, coeff: int = 1) -> "LaurentPoly":
-        """coeff * q^(e/2) where e counts half-exponent units."""
-        return cls({e: coeff})
+    def half_power(cls, e: int) -> "LaurentPoly":
+        """q^(e/2) where e counts half-exponent units."""
+        return cls({e: 1})
 
     @classmethod
     def sum_of_products(

@@ -7,18 +7,19 @@ ascending; this is the ordering that reproduces the published small
 matrices entry for entry, and is fixed project-wide.
 
 The diagram vocabulary lives here so that every module reads the same
-tables: the strand orientations Orient, the tiles Tile, and SIGNATURE, the
-orientations each non-id tile needs on its in-legs and makes on its
-out-legs; the widths of a tile are read off its signature.  The crossing
-tiles CROSS_POS, CROSS_NEG and CROSS_SING are the one name of the crossing
-tensors R, Rbar and Q: braid letters, crossing_rows and crossing_matrix all
-take the tile.
+tables: the strand orientations Orient, the tiles Tile, their kinds CUPS,
+CAPS and CROSSINGS, and SIGNATURE, the orientations each non-id tile needs
+on its in-legs and makes on its out-legs; the widths of a tile are read off
+its signature.  The crossing tiles CROSS_POS, CROSS_NEG and CROSS_SING are
+the one name of the crossing tensors R, Rbar and Q: braid letters,
+tile_rows and crossing_matrix all take the tile.
 
-A crossing's entries are stated once, by spins, in crossing_rows: the top
-spins (a, b) map to the nonzero (bottom spins (c, d), weight) entries.
-crossing_matrix is the same tensor as an n^2 x n^2 PolyMatrix, flattened by
-flat_index.  Turn tiles (cups and caps) carry only a weight per spin,
-turn_weight; the pairing delta and the wiring live in the diagram evaluator.
+Every non-id tile's entries are stated once, by spins, in tile_rows: the
+in-spins map to the nonzero (out-spins, weight) entries.  A cup or cap
+carries its turn weight q^(+-a/2), turn_weight, on a pair of equal spins; a
+crossing carries R, Rbar or Q; the rigid vertex carries gamma times the sum
+of its two resolutions.  crossing_matrix is a crossing's table as an
+n^2 x n^2 PolyMatrix, flattened by flat_index.
 
 PolyMatrix is a sparse matrix of LaurentPoly entries.  mat_mul accumulates
 each entry of a product in one coefficient dict, through
@@ -78,6 +79,11 @@ SIGNATURE = {
 }
 _WIDTH_IN = {Tile.ID: 1, **{t: len(ins) for t, (ins, _) in SIGNATURE.items()}}
 _WIDTH_OUT = {Tile.ID: 1, **{t: len(outs) for t, (_, outs) in SIGNATURE.items()}}
+
+CUPS = (Tile.CUP_RIGHT, Tile.CUP_LEFT)
+CAPS = (Tile.CAP_RIGHT, Tile.CAP_LEFT)
+CROSSINGS = (Tile.CROSS_POS, Tile.CROSS_NEG, Tile.CROSS_SING)
+
 
 def spin_set(n: int) -> tuple[int, ...]:
     """The ascending spin set I_n = (1-n, 3-n, ..., n-1)."""
@@ -193,58 +199,6 @@ def kron(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(a.rows * b.rows, a.cols * b.cols, out)
 
 
-# The weight of a crossing's parallel entry (c, d) = (a, b), by how the top
-# spins compare: (a = b, a < b, a > b).  The flat entry d = a != b = c is 1
-# for every crossing.
-_PARALLEL_WEIGHT = {
-    Tile.CROSS_POS: (Q, Q - QINV, ZERO),
-    Tile.CROSS_NEG: (QINV, ZERO, QINV - Q),
-    Tile.CROSS_SING: (Q + QINV, Q, QINV),
-}
-
-
-def crossing_rows(tile: Tile, n: int) -> dict:
-    """The nonzero entries of a crossing tile, by spins: (a, b) -> (((c, d), weight), ...).
-
-    The top legs carry (a, b) and the bottom legs (c, d):
-
-      positive:  q - q^-1  if c = a < b = d
-                 q         if a = b = c = d
-                 1         if d = a != b = c
-      negative:  q^-1 - q  if c = a > b = d
-                 q^-1      if a = b = c = d
-                 1         if d = a != b = c
-      singular:  q + q^-1  if a = b = c = d
-                 q         if c = a < b = d
-                 q^-1      if c = a > b = d
-                 1         if d = a != b = c
-
-    and zero everywhere else.  A tile that is not a crossing is a ValueError.
-    """
-    if tile not in _PARALLEL_WEIGHT:
-        raise ValueError(f"{tile!r} is not a crossing tile")
-    eq, lt, gt = _PARALLEL_WEIGHT[tile]
-    spins = spin_set(n)
-    rows = {}
-    for a in spins:
-        for b in spins:
-            if a == b:
-                rows[(a, a)] = (((a, a), eq),)
-                continue
-            parallel = lt if a < b else gt
-            flat = ((b, a), ONE)
-            rows[(a, b)] = (flat, ((a, b), parallel)) if parallel else (flat,)
-    return rows
-
-
-def crossing_matrix(tile: Tile, n: int) -> PolyMatrix:
-    """The n^2 x n^2 crossing tensor of crossing_rows, rows (a, b), columns (c, d)."""
-    return PolyMatrix(n * n, n * n, {
-        (flat_index(ins, n), flat_index(outs, n)): w
-        for ins, row in crossing_rows(tile, n).items() for outs, w in row
-    })
-
-
 # Sign of the half exponent in the diagonal turn weight q^(+-a/2).
 _TURN_SIGN = {
     Tile.CUP_RIGHT: 1,
@@ -258,3 +212,80 @@ def turn_weight(tile: Tile, spin: int) -> LaurentPoly:
     """The weight q^(+-spin/2) carried by one cup or cap tile at a given spin."""
     return LaurentPoly.half_power(_TURN_SIGN[tile] * spin)
 
+
+# The weight of a crossing's parallel entry (c, d) = (a, b), by how the top
+# spins compare: (a = b, a < b, a > b).  The flat entry d = a != b = c is 1
+# for every crossing.
+_PARALLEL_WEIGHT = {
+    Tile.CROSS_POS: (Q, Q - QINV, ZERO),
+    Tile.CROSS_NEG: (QINV, ZERO, QINV - Q),
+    Tile.CROSS_SING: (Q + QINV, Q, QINV),
+}
+
+
+def tile_rows(tile: Tile, n: int, gamma: LaurentPoly = ONE) -> dict:
+    """A fresh table of a non-id tile's nonzero entries: in-spins -> ((out-spins, weight), ...).
+
+    The in-legs carry (a, b) and the out-legs (c, d), or none for a cup's
+    in-legs and a cap's out-legs:
+
+      cup:        turn_weight(cup, c)  if c = d
+      cap:        turn_weight(cap, a)  if a = b
+      positive:   q - q^-1  if c = a < b = d
+                  q         if a = b = c = d
+                  1         if d = a != b = c
+      negative:   q^-1 - q  if c = a > b = d
+                  q^-1      if a = b = c = d
+                  1         if d = a != b = c
+      singular:   q + q^-1  if a = b = c = d
+                  q         if c = a < b = d
+                  q^-1      if c = a > b = d
+                  1         if d = a != b = c
+      vert_alt:   gamma * (d_ac d_bd + q^(a/2) q^(c/2) d_ab d_cd)
+
+    and zero everywhere else.  The rigid vertex is gamma times the sum of its
+    two resolutions: the oriented smoothing, and the turnback, a cap_left
+    over a cup_right.  An id tile has no table: it is a ValueError.
+    """
+    spins = spin_set(n)
+    if tile in CUPS:
+        return {(): tuple(((c, c), turn_weight(tile, c)) for c in spins)}
+    if tile in CAPS:
+        return {(a, a): (((), turn_weight(tile, a)),) for a in spins}
+    rows = {}
+    if tile is Tile.VERT_ALT:
+        cap = {a: turn_weight(Tile.CAP_LEFT, a) for a in spins}
+        cup = {c: turn_weight(Tile.CUP_RIGHT, c) for c in spins}
+        for a in spins:
+            for b in spins:
+                rows[(a, b)] = (((a, b), gamma),)
+            # a = b: the turnback to every (c, c), plus the smoothing at c = a
+            turns = [cap[a] * cup[c] for c in spins]
+            rows[(a, a)] = tuple(((c, c), gamma * (turn + ONE if c == a else turn))
+                                 for c, turn in zip(spins, turns))
+        return rows
+    if tile not in CROSSINGS:
+        raise ValueError(f"{tile!r} has no table: an id tile passes its strand through")
+    eq, lt, gt = _PARALLEL_WEIGHT[tile]
+    for a in spins:
+        for b in spins:
+            if a == b:
+                rows[(a, a)] = (((a, a), eq),)
+                continue
+            parallel = lt if a < b else gt
+            flat = ((b, a), ONE)
+            rows[(a, b)] = (flat, ((a, b), parallel)) if parallel else (flat,)
+    return rows
+
+
+def crossing_matrix(tile: Tile, n: int) -> PolyMatrix:
+    """A crossing's n^2 x n^2 tensor, from tile_rows: rows (a, b), columns (c, d).
+
+    A tile that is not a crossing is a ValueError.
+    """
+    if tile not in CROSSINGS:
+        raise ValueError(f"{tile!r} is not a crossing tile")
+    return PolyMatrix(n * n, n * n, {
+        (flat_index(ins, n), flat_index(outs, n)): w
+        for ins, row in tile_rows(tile, n).items() for outs, w in row
+    })

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+from slnpoly import spintensor
 from slnpoly.diagram import CROSSINGS, BraidWord, Diagram, Tile, close_braid
 from slnpoly.evaluator import EvalContext
-from slnpoly.laurent import ZERO, LaurentPoly
+from slnpoly.laurent import ONE, ZERO, LaurentPoly
 from slnpoly.spintensor import (
     PolyMatrix,
     crossing_matrix,
@@ -47,6 +48,29 @@ def tile_matrix(tile: Tile, ctx: EvalContext) -> PolyMatrix:
                     add = ctx.gamma * LaurentPoly.half_power(a + c)
                     entries[(row, col)] = entries.get((row, col), ZERO) + add
     return PolyMatrix(n * n, n * n, entries)
+
+
+def vert_alt_mutant(identity: bool = True,
+                    turnback=lambda a, c: LaurentPoly.half_power(a + c)):
+    """A stand-in for tile_rows whose vert_alt table is built here as
+    gamma * (identity * d_ac d_bd + turnback(a, c) * d_ab d_cd); every other
+    tile's table is spintensor.tile_rows'.  The defaults state the real vertex.
+    """
+    def rows(tile: Tile, n: int, gamma: LaurentPoly = ONE) -> dict:
+        if tile is not Tile.VERT_ALT:
+            return spintensor.tile_rows(tile, n, gamma)
+        spins = spin_set(n)
+        table = {}
+        for a in spins:
+            for b in spins:
+                row = {(a, b): gamma} if identity else {}
+                if a == b:
+                    for c in spins:
+                        row[(c, c)] = row.get((c, c), ZERO) + gamma * turnback(a, c)
+                table[(a, b)] = tuple((outs, w) for outs, w in row.items() if w)
+        return table
+
+    return rows
 
 
 def transfer_eval(d: Diagram, ctx: EvalContext) -> PolyMatrix:

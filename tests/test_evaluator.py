@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corpus_diagrams, random_word, transfer_eval
+from conftest import corpus_diagrams, random_word, transfer_eval, vert_alt_mutant
 from slnpoly.diagram import (
     CUPS,
     BraidWord,
@@ -173,12 +173,31 @@ def test_frontier_budget_refuses_a_cup_wider_than_the_limit(monkeypatch):
 def test_frontier_budget_refuses_before_any_tile_table_is_built(monkeypatch):
     built = []
     monkeypatch.setattr(evaluator, "MAX_FRONTIER", 3)
-    monkeypatch.setattr(evaluator, "_tile_rows", lambda tile, ctx: built.append(tile))
+    monkeypatch.setattr(evaluator, "tile_rows", lambda tile, n, gamma: built.append(tile))
     with pytest.raises(ValueError, match=r"^a cup makes 4 frontier entries"):
         evaluate_closed(close_braid(BraidWord(1)), EvalContext(4))
     with pytest.raises(ValueError, match=r"^the top boundary has 64 spin states"):
         evaluate_tangle(braid_to_diagram(parse_braid_word("s1 s2", 3)), EvalContext(4))
     assert built == []
+
+
+def test_the_sweep_and_the_edge_oracle_build_one_table_per_distinct_tile(monkeypatch):
+    real = evaluator.tile_rows
+    built = []
+
+    def counted(tile, n, gamma=ONE):
+        built.append(tile)
+        return real(tile, n, gamma)
+
+    monkeypatch.setattr(evaluator, "tile_rows", counted)
+    d = close_braid(parse_braid_word("s1 s2 S1 t2 s1", 3))
+    tiles = [Tile.CUP_RIGHT, Tile.CAP_LEFT, Tile.CROSS_POS, Tile.CROSS_NEG, Tile.CROSS_SING]
+    values = []
+    for evaluate in (evaluate_closed, oracle_edge_enumeration):
+        built.clear()
+        values.append(evaluate(d, EvalContext(2)))
+        assert sorted(built, key=str) == sorted(tiles, key=str)
+    assert values[0] == values[1]
 
 
 def test_oracles_on_corpus_small():
@@ -201,14 +220,33 @@ def test_oracle_crossing_cap():
         oracle_rotation_states(tre, EvalContext(2), crossing_cap=2)
 
 
-def test_oracle_rejects_vert_alt():
+def test_rotation_oracle_resolves_vert_alt():
+    # the closed-off alternating vertex: its smoothing leaves one loop and
+    # its turnback two, so the oracle gives gamma * ([n] + [n]^2)
     d = Diagram([[Tile.CUP_RIGHT], [Tile.VERT_ALT], [Tile.CAP_LEFT]])
-    assert not d.is_closed() or True
-    # close an alternating vertex into a loop: cup gives (down, up) which is
-    # exactly the vertex's frame, then cap it off
-    assert d.is_closed()
-    with pytest.raises(DiagramError):
-        oracle_rotation_states(d, EvalContext(2))
+    for n in (2, 3):
+        for gamma in (ONE, Q, Q + QINV):
+            ctx = EvalContext(n, gamma)
+            want = gamma * (quantum_int(n) + quantum_int(n) * quantum_int(n))
+            assert oracle_rotation_states(d, ctx) == want == evaluate_closed(d, ctx)
+
+
+def test_rotation_oracle_sees_a_vertex_turnback_of_the_wrong_weight(monkeypatch):
+    # a sweep whose vertex turnback weighs q^((a-c)/2) in place of
+    # q^((a+c)/2) disagrees with the oracle, which states the vertex itself
+    ctx = EvalContext(3, Q)
+    twist = [[Tile.CUP_LEFT, I, I], [I, Tile.CROSS_POS, I], [I, I, Tile.CAP_LEFT]]
+    fixtures = [
+        Diagram([[Tile.CUP_RIGHT], [Tile.VERT_ALT], [Tile.CAP_LEFT]]),
+        Diagram([[Tile.CUP_RIGHT], [Tile.VERT_ALT]] + twist + [[Tile.CAP_RIGHT]]),
+        Diagram([[Tile.CUP_RIGHT], [Tile.VERT_ALT], [Tile.VERT_ALT], [Tile.CAP_LEFT]]),
+    ]
+    oracle = [oracle_rotation_states(d, ctx) for d in fixtures]
+    assert oracle == [evaluate_closed(d, ctx) for d in fixtures]
+    monkeypatch.setattr(evaluator, "tile_rows", vert_alt_mutant(
+        turnback=lambda a, c: LaurentPoly.half_power(a - c)))
+    assert all(evaluate_closed(d, ctx) != v for d, v in zip(fixtures, oracle))
+    assert oracle == [oracle_rotation_states(d, ctx) for d in fixtures]
 
 
 def test_vert_alt_closed_loop_value():
@@ -377,10 +415,11 @@ def _cap_off(d: Diagram, level) -> Diagram:
     return Diagram(slices)
 
 
+gammas = st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=2).map(LaurentPoly)
+
+
 @settings(deadline=None, derandomize=True, max_examples=150)
-@given(drawn=sliced_diagrams(), n=st.sampled_from((2, 3)),
-       gamma=st.dictionaries(st.integers(-3, 3), st.integers(-2, 2), max_size=2)
-       .map(LaurentPoly))
+@given(drawn=sliced_diagrams(), n=st.sampled_from((2, 3)), gamma=gammas)
 def test_sweep_matches_transfer_on_random_diagrams(drawn, n, gamma):
     """Random valid diagrams, open and closed, with mixed orientations: the
     frontier sweep, transfer_eval and the edge oracle agree exactly."""
@@ -397,3 +436,21 @@ def test_sweep_matches_transfer_on_random_diagrams(drawn, n, gamma):
     except OracleSizeError:
         return
     assert oracle == value
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(drawn=sliced_diagrams(), n=st.sampled_from((2, 3)), gamma=gammas)
+def test_rotation_oracle_matches_the_sweep_on_random_closed_diagrams(drawn, n, gamma):
+    """Random diagrams capped off, alternating vertices included: the
+    rotation oracle, which resolves every crossing and vertex itself, and
+    the sweep agree exactly."""
+    d, level = drawn
+    if d.top:
+        return
+    closed = _cap_off(d, level)
+    ctx = EvalContext(n, gamma)
+    try:
+        oracle = oracle_rotation_states(closed, ctx, crossing_cap=6)
+    except OracleSizeError:
+        return
+    assert oracle == evaluate_closed(closed, ctx)

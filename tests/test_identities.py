@@ -3,7 +3,8 @@ import itertools
 
 import pytest
 
-from slnpoly import braidrep, identities, spintensor
+from conftest import vert_alt_mutant
+from slnpoly import braidrep, evaluator, identities, spintensor
 from slnpoly.identities import (
     SUITES,
     all_passed,
@@ -26,9 +27,9 @@ from slnpoly.laurent import ONE, Q, QINV, ZERO, LaurentPoly
 from slnpoly.spintensor import (
     PolyMatrix,
     crossing_matrix,
-    crossing_rows,
     flat_index,
     spin_set,
+    tile_rows,
 )
 
 
@@ -67,8 +68,8 @@ def test_unitarity_negative_control():
     bad = _perturb(rbar, (0, 0), Q)
     assert channel_unitarity_holds(r, rbar)
     assert not channel_unitarity_holds(r, bad)
-    r_rows = crossing_rows(Tile.CROSS_POS, 2)
-    rbar_rows = crossing_rows(Tile.CROSS_NEG, 2)
+    r_rows = tile_rows(Tile.CROSS_POS, 2)
+    rbar_rows = tile_rows(Tile.CROSS_NEG, 2)
     bad_rows = {**rbar_rows, (-1, -1): (((-1, -1), Q),)}
     assert cross_channel_unitarity_holds(r_rows, rbar_rows, 2)
     assert not cross_channel_unitarity_holds(r_rows, bad_rows, 2)
@@ -97,8 +98,8 @@ def _dense_cross_channel_unitarity(r_rows, rbar_rows, n) -> bool:
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_cross_channel_unitarity_matches_the_dense_loop(n):
-    r_rows = crossing_rows(Tile.CROSS_POS, n)
-    rbar_rows = crossing_rows(Tile.CROSS_NEG, n)
+    r_rows = tile_rows(Tile.CROSS_POS, n)
+    rbar_rows = tile_rows(Tile.CROSS_NEG, n)
     assert cross_channel_unitarity_holds(r_rows, rbar_rows, n)
     assert _dense_cross_channel_unitarity(r_rows, rbar_rows, n)
 
@@ -106,8 +107,8 @@ def test_cross_channel_unitarity_matches_the_dense_loop(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_cross_channel_unitarity_matches_the_dense_loop_on_substitutions(n):
     # each weight of Rbar's rows in turn replaced by q, or by 1 where it is q
-    r_rows = crossing_rows(Tile.CROSS_POS, n)
-    rbar_rows = crossing_rows(Tile.CROSS_NEG, n)
+    r_rows = tile_rows(Tile.CROSS_POS, n)
+    rbar_rows = tile_rows(Tile.CROSS_NEG, n)
     verdicts = []
     for ins, row in rbar_rows.items():
         for k, (outs, w) in enumerate(row):
@@ -126,15 +127,15 @@ def test_cross_channel_unitarity_matches_the_dense_loop_on_substitutions(n):
     (3, (-2, 2), (0, 0), {"Q-support"}),
 ])
 def test_singular_table_checks_negative_control(monkeypatch, n, ins, outs, failing):
-    real = identities.crossing_rows
+    real = identities.tile_rows
 
-    def perturbed(tile, m):
-        rows = real(tile, m)
+    def perturbed(tile, m, gamma=ONE):
+        rows = real(tile, m, gamma)
         if tile is not Tile.CROSS_SING:
             return rows
         return {**rows, ins: rows[ins] + ((outs, ONE),)}
 
-    monkeypatch.setattr(identities, "crossing_rows", perturbed)
+    monkeypatch.setattr(identities, "tile_rows", perturbed)
     passed = {r.name: r.passed for r in check_singular_relations(n)}
     checks = ("conservation-law", "Q-support")
     assert {c for c in checks if not passed[f"{c}-n{n}"]} == failing
@@ -229,14 +230,12 @@ def test_gamma_r4_mixed_signs_fail():
 def test_reflected_fixtures_negative_control(monkeypatch, flipped, failing):
     # a turn tile weighted q^(-+s/2) in place of q^(+-s/2) fails exactly the
     # wiggles and sideways pairs that run through it, right and reflected
-    from slnpoly import evaluator
-
-    real = evaluator.turn_weight
+    real = spintensor.turn_weight
 
     def flipped_weight(tile, spin):
         return real(tile, -spin if tile is flipped else spin)
 
-    monkeypatch.setattr(evaluator, "turn_weight", flipped_weight)
+    monkeypatch.setattr(spintensor, "turn_weight", flipped_weight)
     for n in (2, 3):
         failed = {r.name.removesuffix(f"-n{n}")
                   for r in check_unitarity(n) if not r.passed}
@@ -273,9 +272,28 @@ _NEVER_FAILED = {
 }
 
 
+_R5 = {"gamma-R5alt-pos", "gamma-R5alt-neg"}
+_R4 = {"gamma-R4alt-over", "gamma-R4alt-under"}
+_CURL_AT_Q1 = {"gamma-curl-defect-at-q1-pos", "gamma-curl-defect-at-q1-neg"}
+
+# The four changes of the vert_alt table, each with the checks it fails at
+# n = 2 and 3 with gamma = q.
+_VERT_ALT_MUTANTS = {
+    "without its identity term": (vert_alt_mutant(identity=False), _R5 | _CURL_AT_Q1),
+    "without its turnback": (vert_alt_mutant(turnback=lambda a, c: ZERO), _R5 | _CURL_AT_Q1),
+    "with its turnback negated": (
+        vert_alt_mutant(turnback=lambda a, c: -LaurentPoly.half_power(a + c)),
+        _R5 | _CURL_AT_Q1),
+    "with its turnback q^((a-c)/2)": (
+        vert_alt_mutant(turnback=lambda a, c: LaurentPoly.half_power(a - c)), _R5 | _R4),
+}
+
+
 def _model_mutants():
-    """The 63 single-entry substitutions of the crossing weights and the 4
-    turn-sign flips, as (label, table, key, value) patches."""
+    """The 63 single-entry substitutions of the crossing weights, the 4
+    turn-sign flips and the 4 changes of the vert_alt table, as (label,
+    target, key, value) patches: a dict target takes an item, and the
+    evaluator module takes a tile_rows stand-in."""
     for tile, weights in spintensor._PARALLEL_WEIGHT.items():
         for slot, real in enumerate(weights):
             for value in _WEIGHT_VALUES:
@@ -285,6 +303,8 @@ def _model_mutants():
                            spintensor._PARALLEL_WEIGHT, tile, changed)
     for tile, sign in spintensor._TURN_SIGN.items():
         yield f"{tile.value} sign flipped", spintensor._TURN_SIGN, tile, -sign
+    for label, (mutant, _) in _VERT_ALT_MUTANTS.items():
+        yield f"vert_alt {label}", evaluator, "tile_rows", mutant
 
 
 def _verify_all(n):
@@ -298,15 +318,34 @@ def _verify_all(n):
     return results
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_vert_alt_stand_in_states_the_real_table(n):
+    # the unchanged stand-in of the vert_alt mutants is the vertex itself
+    def as_dicts(rows):
+        return {ins: dict(row) for ins, row in rows.items()}
+
+    for gamma in (ONE, Q):
+        assert (as_dicts(vert_alt_mutant()(Tile.VERT_ALT, n, gamma))
+                == as_dicts(tile_rows(Tile.VERT_ALT, n, gamma)))
+
+
+@pytest.mark.parametrize("label", list(_VERT_ALT_MUTANTS))
+def test_each_vert_alt_mutant_fails_its_gamma_checks(monkeypatch, label):
+    mutant, failing = _VERT_ALT_MUTANTS[label]
+    monkeypatch.setattr(evaluator, "tile_rows", mutant)
+    for n in (2, 3):
+        assert {name for name, passed in _verify_all(n).items() if not passed} == failing
+
+
 def test_every_model_mutant_fails_a_check_and_every_check_catches_one(monkeypatch):
     # the model tables are read afresh by every call, so a patched table
     # reaches every suite once rho's cached generator images are dropped
     mutants = list(_model_mutants())
-    assert len(mutants) == 67
+    assert len(mutants) == 71
     caught, missed = set(), []
-    for label, table, key, value in mutants:
+    for label, target, key, value in mutants:
         with monkeypatch.context() as patch:
-            patch.setitem(table, key, value)
+            (patch.setitem if isinstance(target, dict) else patch.setattr)(target, key, value)
             braidrep._generator_image.cache_clear()
             failed = {name for n in (2, 3)
                       for name, passed in _verify_all(n).items() if not passed}

@@ -5,15 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from test_laurent import polys
 from slnpoly.diagram import CROSSINGS, Tile
-from slnpoly.identities import check_unitarity
+from slnpoly.identities import check_unitarity, turnback_pair
 from slnpoly.laurent import ONE, Q, QINV, ZERO, LaurentPoly, parse_poly
 from slnpoly.spintensor import (
     PolyMatrix,
     crossing_matrix,
-    crossing_rows,
+    flat_index,
     kron,
     mat_mul,
     spin_set,
+    tile_rows,
     turn_weight,
 )
 
@@ -220,7 +221,7 @@ def test_mat_mul_matches_dense_triple_loop(data):
 
 
 def test_mat_mul_drops_an_entry_that_cancels():
-    p = Q + LaurentPoly.half_power(-3, 4)
+    p = Q + 4 * LaurentPoly.half_power(-3)
     row = PolyMatrix(1, 2, {(0, 0): p, (0, 1): p})
     col = PolyMatrix(2, 1, {(0, 0): ONE, (1, 0): -ONE})
     product = mat_mul(row, col)
@@ -267,14 +268,45 @@ def test_builders_reject_small_n():
 
 @pytest.mark.parametrize("tile", [t for t in Tile if t not in CROSSINGS])
 def test_builders_reject_tiles_that_are_not_crossings(tile):
-    for build in (crossing_rows, crossing_matrix):
-        with pytest.raises(ValueError, match=f"{tile!r} is not a crossing tile"):
-            build(tile, 2)
+    with pytest.raises(ValueError, match=f"{tile!r} is not a crossing tile"):
+        crossing_matrix(tile, 2)
+
+
+def test_tile_rows_refuses_the_id_tile():
+    with pytest.raises(ValueError, match=r"Tile\.ID.* has no table"):
+        tile_rows(Tile.ID, 2)
+
+
+@pytest.mark.parametrize("tile", [t for t in Tile if t is not Tile.ID])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tile_rows_shapes(tile, n):
+    # every key and out-tuple has the tile's widths in spins, and each row
+    # lists distinct out-tuples with nonzero weights
+    spins = set(spin_set(n))
+    for gamma in (ONE, Q - QINV):
+        rows = tile_rows(tile, n, gamma)
+        assert rows
+        for ins, row in rows.items():
+            assert len(ins) == tile.width_in and set(ins) <= spins
+            outs = [o for o, _ in row]
+            assert all(len(o) == tile.width_out and set(o) <= spins for o in outs)
+            assert len(set(outs)) == len(outs)
+            assert all(w for _, w in row)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_vert_alt_rows_are_gamma_times_its_two_resolutions(n):
+    for gamma in (ONE, Q, 2 * Q - QINV):
+        flat = PolyMatrix(n * n, n * n, {
+            (flat_index(ins, n), flat_index(outs, n)): w
+            for ins, row in tile_rows(Tile.VERT_ALT, n, gamma).items() for outs, w in row
+        })
+        assert flat == (PolyMatrix.identity(n * n) + turnback_pair(n)).scale(gamma)
 
 
 def test_a_write_into_a_returned_table_reaches_no_later_reader():
     before = crossing_matrix(Tile.CROSS_NEG, 2)
-    crossing_rows(Tile.CROSS_NEG, 2)[(-1, -1)] = (((-1, -1), Q),)
-    assert crossing_rows(Tile.CROSS_NEG, 2)[(-1, -1)] == (((-1, -1), QINV),)
+    tile_rows(Tile.CROSS_NEG, 2)[(-1, -1)] = (((-1, -1), Q),)
+    assert tile_rows(Tile.CROSS_NEG, 2)[(-1, -1)] == (((-1, -1), QINV),)
     assert crossing_matrix(Tile.CROSS_NEG, 2) == before == RBAR2
     assert all(r.passed for r in check_unitarity(2))
